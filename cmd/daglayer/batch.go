@@ -158,7 +158,7 @@ flags:
 			if err != nil {
 				return nil, fmt.Errorf("parse: %w", err)
 			}
-			body, _, err := server.Compute(jctx, freq, g, names)
+			body, _, _, err := server.Compute(jctx, freq, g, names, nil)
 			return body, err
 		})
 		if err != nil {

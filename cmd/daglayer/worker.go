@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"antlayer/internal/obs"
+	"antlayer/internal/retry"
 	"antlayer/internal/shard"
 )
 
@@ -27,20 +28,12 @@ type reconnectBackoff struct {
 	attempt int
 }
 
-// next returns the delay before the upcoming reconnect attempt and
-// advances the schedule. Attempt k waits base<<k plus (k%5) sixteenths of
-// that doubled delay, capped at max.
+// next returns the delay before the upcoming reconnect attempt
+// (retry.Backoff) and advances the schedule.
 func (b *reconnectBackoff) next() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d := b.base
-	for i := 0; i < b.attempt && d < b.max; i++ {
-		d *= 2
-	}
-	d += time.Duration(b.attempt%5) * (d / 16)
-	if d > b.max {
-		d = b.max
-	}
+	d := retry.Backoff(b.base, b.max, b.attempt)
 	b.attempt++
 	return d
 }

@@ -101,24 +101,11 @@ type Summary struct {
 	Reports []Report `json:"reports"`
 }
 
-// percentile returns the nearest-rank q-quantile of latencies (ms). The
-// slice is sorted in place. Zero samples yield zero.
-func percentile(lats []float64, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Float64s(lats)
-	i := int(q * float64(len(lats)))
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return lats[i]
-}
-
 // buildPhaseReport folds a phase's raw samples into the report row and
 // evaluates the SLO. expected lists tolerated error classes.
 func buildPhaseReport(name string, seconds float64, s *SampleSet, expected []string, slo SLO, cacheHitRate float64) PhaseReport {
 	lats, classes, shed := s.snapshot()
+	sort.Float64s(lats)
 	tolerated := make(map[string]bool, len(expected)+1)
 	tolerated["ok"] = true
 	for _, c := range expected {
@@ -143,14 +130,14 @@ func buildPhaseReport(name string, seconds float64, s *SampleSet, expected []str
 		Classes:      classes,
 		ErrorRate:    rate,
 		Expected:     expected,
-		P50Ms:        percentile(lats, 0.50),
-		P95Ms:        percentile(lats, 0.95),
-		P99Ms:        percentile(lats, 0.99),
+		P50Ms:        obs.Quantile(lats, 0.50),
+		P95Ms:        obs.Quantile(lats, 0.95),
+		P99Ms:        obs.Quantile(lats, 0.99),
 		CacheHitRate: cacheHitRate,
 		SLO:          slo,
 	}
 	if n := len(lats); n > 0 {
-		p.MaxMs = lats[n-1] // percentile sorted the slice
+		p.MaxMs = lats[n-1]
 	}
 	p.Violations = evaluateSLO(p, slo)
 	p.Pass = len(p.Violations) == 0

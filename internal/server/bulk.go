@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,36 +178,17 @@ func (s *Server) bulkSubmitLine(lineNo int, raw []byte) (*batch.Job, bulkResult)
 	if err != nil {
 		return fail("bad query: %v", err)
 	}
-	req, err := ParseRequest(query)
-	if err != nil {
-		return fail("bad request: %v", err)
+	c, rej := s.prepare(query, strings.NewReader(bl.Graph), nil)
+	var job *batch.Job
+	if rej == nil {
+		job, rej = s.submitJob(c, nil)
 	}
-	if req.Distributed && s.cfg.Coordinator == nil {
-		return fail("distributed=true but this daemon is not a coordinator")
-	}
-	g, names, err := ParseGraph(req, strings.NewReader(bl.Graph))
-	if err != nil {
-		return fail("bad %s input: %v", req.Format, err)
-	}
-	key := requestKey(req, g, names)
-	gk := graphKey(g, names)
-	req, key, warm, _ := s.warmPlan(req, g, names, key, gk)
-	timeout := s.timeout(req)
-	job, err := s.jobs.SubmitLabeled(func(ctx context.Context) ([]byte, error) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		body, _, _, err := s.computeCached(ctx, key, req, g, names, gk, warm, nil)
-		return body, err
-	}, req.Labels...)
-	if err != nil {
-		if errors.Is(err, batch.ErrQueueFull) {
-			return nil, bulkResult{
-				Line: lineNo, State: string(batch.StateFailed),
-				Error:      fmt.Sprintf("job queue full (depth %d)", s.cfg.JobQueueDepth),
-				RetryAfter: s.jobs.RetryAfter(),
-			}
+	if rej != nil {
+		res := bulkResult{Line: lineNo, State: string(batch.StateFailed), Error: rej.msg, RetryAfter: rej.retryAfter}
+		if rej.status == http.StatusServiceUnavailable {
+			res.State = "closed"
 		}
-		return nil, bulkResult{Line: lineNo, State: "closed", Error: fmt.Sprintf("job queue closed: %v", err)}
+		return nil, res
 	}
 	return job, bulkResult{}
 }

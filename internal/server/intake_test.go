@@ -1,0 +1,132 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// postRaw POSTs body to path?query and returns the status and the raw
+// response body.
+func postRaw(t *testing.T, ts *httptest.Server, path, query, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path+"?"+query, "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// TestIntakeParity feeds the same inputs to the three intake paths —
+// POST /layer, POST /jobs and a /jobs/bulk line — which share one
+// preamble: a refused input gets the same status and message from /layer
+// and /jobs and the same message on the bulk line, and a good input the
+// same body from all three.
+func TestIntakeParity(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
+	cases := []struct {
+		name, query, graph string
+		status             int
+		msg                string
+	}{
+		{"unknown parameter", "tuors=100", demoDOT, http.StatusBadRequest,
+			`bad request: unknown query parameter "tuors"`},
+		{"bad algo", "algo=simplex", demoDOT, http.StatusBadRequest,
+			`bad request: unknown algo "simplex" (want aco|island|lpl|minwidth|cg|ns)`},
+		{"not a coordinator", "algo=island&distributed=true", demoDOT, http.StatusBadRequest,
+			"distributed=true but this daemon is not a coordinator (start it with -coordinator)"},
+		{"unparseable dot", "seed=1", "digraph { a -> ", http.StatusBadRequest, "bad dot input: "},
+	}
+	for _, c := range cases {
+		lresp, lbody := postRaw(t, ts, "/layer", c.query, c.graph)
+		jresp, jbody := postRaw(t, ts, "/jobs", c.query, c.graph)
+		if lresp.StatusCode != c.status || jresp.StatusCode != c.status {
+			t.Errorf("%s: /layer %d, /jobs %d, want %d", c.name, lresp.StatusCode, jresp.StatusCode, c.status)
+		}
+		msg := strings.TrimSuffix(string(lbody), "\n")
+		if !strings.HasPrefix(msg, c.msg) {
+			t.Errorf("%s: /layer says %q, want %q", c.name, msg, c.msg)
+		}
+		if got := strings.TrimSuffix(string(jbody), "\n"); got != msg {
+			t.Errorf("%s: /jobs says %q, /layer %q", c.name, got, msg)
+		}
+		_, lines := postBulk(t, ts, "", bulkBody([2]string{c.query, c.graph}))
+		var res bulkResult
+		if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &res) != nil {
+			t.Fatalf("%s: bulk answered %q", c.name, lines)
+		}
+		if res.State != "failed" || res.Error != msg {
+			t.Errorf("%s: bulk line %+v, want failed with %q", c.name, res, msg)
+		}
+	}
+
+	// An oversize body only exists on the HTTP paths: a bulk line is
+	// bounded by the line scanner instead.
+	big := "digraph {" + strings.Repeat(" a -> b;", 64) + " }"
+	lresp, lbody := postRaw(t, ts, "/layer", "", big)
+	jresp, jbody := postRaw(t, ts, "/jobs", "", big)
+	if lresp.StatusCode != http.StatusRequestEntityTooLarge || jresp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize: /layer %d, /jobs %d, want 413", lresp.StatusCode, jresp.StatusCode)
+	}
+	if want := "graph larger than 256 bytes\n"; string(lbody) != want || string(jbody) != want {
+		t.Errorf("oversize: /layer %q, /jobs %q, want %q", lbody, jbody, want)
+	}
+}
+
+// TestIntakeParityGoodInput: one good input served by each path on a
+// fresh daemon — so each computes instead of replaying a cache — comes
+// back as the same bytes.
+func TestIntakeParityGoodInput(t *testing.T) {
+	const query = "seed=11&tours=4&render=ascii"
+	_, ts := newTestServer(t, Config{})
+	lresp, layer := postRaw(t, ts, "/layer", query, demoDOT)
+	if lresp.StatusCode != http.StatusOK {
+		t.Fatalf("/layer answered %d: %s", lresp.StatusCode, layer)
+	}
+
+	_, ts = newTestServer(t, Config{})
+	resp, status := postJob(t, ts, query, demoDOT)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("/jobs answered %d: %s", resp.StatusCode, status.raw)
+	}
+	if _, done := pollUntilTerminal(t, ts, status.ID); !bytes.Equal(done.raw, layer) {
+		t.Errorf("done job body differs from /layer:\n%s\n%s", done.raw, layer)
+	}
+
+	_, ts = newTestServer(t, Config{})
+	_, lines := postBulk(t, ts, "", bulkBody([2]string{query, demoDOT}))
+	if len(lines) != 1 || lines[0]+"\n" != string(layer) {
+		t.Errorf("bulk line differs from /layer:\n%q\n%s", lines, layer)
+	}
+}
+
+// TestRequestKeysGolden pins the cache and graph keys one fixed request is
+// served under. Clients send X-Graph-Key back as base=, and cached bodies
+// are filed under X-Cache-Key, so the key scheme is a compatibility
+// contract: a change to how keys are derived shows up here.
+func TestRequestKeysGolden(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postRaw(t, ts, "/layer", "seed=3&tours=5&algo=island&islands=2", demoDOT)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/layer answered %d: %s", resp.StatusCode, body)
+	}
+	const (
+		wantCache = "7a06fb9174a9ff827dad04e65181b2023e3870fd62b423655617e524b5147da8"
+		wantGraph = "5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87"
+	)
+	if got := resp.Header.Get("X-Cache-Key"); got != wantCache {
+		t.Errorf("X-Cache-Key = %s, want %s", got, wantCache)
+	}
+	if got := resp.Header.Get("X-Graph-Key"); got != wantGraph {
+		t.Errorf("X-Graph-Key = %s, want %s", got, wantGraph)
+	}
+}

@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"antlayer/internal/batch"
-	"antlayer/internal/obs"
 	"antlayer/internal/shard"
 )
 
@@ -46,9 +44,9 @@ type jobStatus struct {
 	Poll string `json:"poll,omitempty"`
 }
 
-// handleJobs serves POST /jobs — parse and validate synchronously (bad
-// requests fail now, not at poll time), then enqueue the computation —
-// and GET /jobs, the job listing.
+// handleJobs serves POST /jobs — prepare synchronously (bad requests fail
+// now, not at poll time), then enqueue the computation — and GET /jobs,
+// the job listing.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		s.handleJobList(w, r)
@@ -59,59 +57,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST a DOT or edge-list graph to /jobs (then poll GET /jobs/{id}), or GET /jobs to list")
 		return
 	}
-	// A job's trace spans its whole life: minted (or honored) at
-	// submission, finished when the job settles, so the queue wait is
-	// visible in the span breakdown. Head sampling (TraceSample) decides
-	// here; a sampled-out job still gets a request ID, just no trace.
-	var tr *obs.Trace
-	if s.sampleTrace() {
-		tr = s.tracer.New(r.Header.Get("X-Request-ID"))
+	// A job's trace spans its whole life: opened at submission, finished
+	// when the job settles, so the queue wait is visible in the span
+	// breakdown.
+	tr := s.startTrace(w, r)
+	c, rej := s.prepare(r.URL.Query(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), tr)
+	var job *batch.Job
+	if rej == nil {
+		job, rej = s.submitJob(c, tr)
 	}
-	w.Header().Set("X-Request-ID", s.requestID(r, tr))
-	parse := tr.Begin("parse")
-	req, g, names, ok := s.parseLayerHTTP(w, r)
-	parse.End()
-	if !ok {
+	if rej != nil {
 		s.tracer.Finish(tr)
-		return
-	}
-	key := requestKey(req, g, names)
-	gk := graphKey(g, names)
-	wspan := tr.Begin("warm")
-	req, key, warm, _ := s.warmPlan(req, g, names, key, gk)
-	wspan.End()
-	timeout := s.timeout(req)
-	enqueued := tr.Since()
-	job, err := s.jobs.SubmitTraced(func(ctx context.Context) ([]byte, error) {
-		defer s.tracer.Finish(tr)
-		tr.Observe("queue_wait", "", 0, enqueued, tr.Since()-enqueued)
-		// The deadline starts when a worker picks the job up, not at
-		// submission: a job is not punished for waiting out a long queue.
-		ctx, cancel := context.WithTimeout(obs.NewContext(ctx, tr), timeout)
-		defer cancel()
-		// The shared engine of handleLayer: identical jobs running at
-		// once — or a job identical to an in-flight /layer request —
-		// share one computation and the result cache. No semaphore: the
-		// job worker pool is the compute bound here.
-		body, _, _, err := s.computeCached(ctx, key, req, g, names, gk, warm, nil)
-		return body, err
-	}, tr.ID(), req.Labels...)
-	if err != nil {
-		s.tracer.Finish(tr)
-		if errors.Is(err, batch.ErrQueueFull) {
-			// The hint is derived from the queue stats — backlog and
-			// running jobs over the worker pool — not a constant, so
-			// clients back off proportionally to the actual congestion.
-			retry := s.jobs.RetryAfter()
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.httpError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry in %ds", s.cfg.JobQueueDepth, retry)
-			return
-		}
-		s.httpError(w, http.StatusServiceUnavailable, "job queue closed: %v", err)
+		s.writeRejection(w, rej)
 		return
 	}
 	s.log().Info("job submitted",
-		"job", job.ID(), "trace", tr.ID(), "warm", warm != nil, "n", g.N(), "m", g.M(), "algo", string(req.Algo))
+		"job", job.ID(), "trace", tr.ID(), "warm", c.warm != nil, "n", c.g.N(), "m", c.g.M(), "algo", c.req.Algo)
 	s.writeJobStatus(w, http.StatusAccepted, jobStatus{
 		ID:      job.ID(),
 		State:   string(batch.StateQueued),

@@ -218,9 +218,8 @@ func ParseGraph(req Request, body io.Reader) (*antlayer.Graph, []string, error) 
 	}
 }
 
-// requestKey is the cache key: a hash over the canonical form of the graph
-// (vertex count, per-vertex width and name, edges sorted by endpoint) and
-// every parameter that determines the response body.
+// requestKey is the cache key: a hash over gk, the graph's canonical hash
+// (graphKey), and every parameter that determines the response body.
 //
 // Several fields are deliberately excluded. Workers: the layering is
 // bitwise-identical at any worker count (PR 1, and the island model keeps
@@ -239,9 +238,9 @@ func ParseGraph(req Request, body io.Reader) (*antlayer.Graph, []string, error) 
 // different (equally valid) layerings when computed from scratch; the
 // cache pins whichever was computed first, which keeps responses stable —
 // a feature, not a loss.
-func requestKey(req Request, g *antlayer.Graph, names []string) string {
+func requestKey(req Request, gk string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "graph=%s\n", graphKey(g, names))
+	fmt.Fprintf(h, "graph=%s\n", gk)
 	aco := req.ACO
 	aco.Workers = 0
 	// Warm and ExportState never parameterise the body of a *cold*
@@ -347,21 +346,14 @@ type IslandRunner func(ctx context.Context, g *antlayer.Graph, p antlayer.Island
 // tours executed (0 for the polynomial algorithms) so callers can feed
 // their metrics. Only the colony paths are long enough to be cancellable;
 // the polynomial algorithms run to completion well inside any sane
-// deadline. Island runs execute in-process; ComputeWith is the variant
-// that can shard them over a worker fleet.
-func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string) (body []byte, toursRun int, err error) {
-	body, toursRun, _, err = ComputeWith(ctx, req, g, names, nil)
-	return body, toursRun, err
-}
-
-// ComputeWith is Compute with an explicit island runner (nil =
-// in-process); see IslandRunner. When the request's colony parameters
-// set ExportState, the returned state is the run's final search state
-// (the winning island's, for algo=island) — the daemon stores it in the
-// warm cache; state is nil otherwise and for the polynomial algorithms.
-// The state never appears in the body, so exporting cannot perturb the
-// served bytes.
-func ComputeWith(ctx context.Context, req Request, g *antlayer.Graph, names []string, runIsland IslandRunner) (body []byte, toursRun int, state *antlayer.ACOState, err error) {
+// deadline. runIsland executes algo=island runs (nil = in-process; see
+// IslandRunner). When the request's colony parameters set ExportState,
+// the returned state is the run's final search state (the winning
+// island's, for algo=island) — the daemon stores it in the warm cache;
+// state is nil otherwise and for the polynomial algorithms. The state
+// never appears in the body, so exporting cannot perturb the served
+// bytes.
+func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string, runIsland IslandRunner) (body []byte, toursRun int, state *antlayer.ACOState, err error) {
 	if runIsland == nil {
 		runIsland = antlayer.IslandColonyRunContext
 	}
@@ -371,39 +363,23 @@ func ComputeWith(ctx context.Context, req Request, g *antlayer.Graph, names []st
 		Graph:   graphInfo{Vertices: g.N(), Edges: g.M()},
 	}
 	var l *antlayer.Layering
+	var colony *antlayer.ACOResult // the winning colony's result, for aco and island
 	switch req.Algo {
 	case "aco":
-		res, err := antlayer.AntColonyRunContext(ctx, g, req.ACO)
+		colony, err = antlayer.AntColonyRunContext(ctx, g, req.ACO)
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		toursRun = len(res.History)
-		state = res.State
-		l = res.Layering
-		if req.Promote {
-			l = antlayer.Promote(l)
-		}
-		resp.Objective = res.Objective
-		bestTour := res.BestTour
-		resp.BestTour = &bestTour
-		resp.ToursRun = toursRun
+		toursRun = len(colony.History)
 	case "island":
 		res, err := runIsland(ctx, g, req.options().IslandOf())
 		if err != nil {
 			return nil, 0, nil, err
 		}
+		colony = &res.Result
 		for _, st := range res.PerIsland {
 			toursRun += st.ToursRun
 		}
-		state = res.State
-		l = res.Layering
-		if req.Promote {
-			l = antlayer.Promote(l)
-		}
-		resp.Objective = res.Objective
-		bestTour := res.BestTour
-		resp.BestTour = &bestTour
-		resp.ToursRun = toursRun
 		bestIsland := res.BestIsland
 		resp.BestIsland = &bestIsland
 		resp.Islands = len(res.PerIsland)
@@ -419,6 +395,17 @@ func ComputeWith(ctx context.Context, req Request, g *antlayer.Graph, names []st
 		if err != nil {
 			return nil, 0, nil, err
 		}
+	}
+	if colony != nil {
+		state = colony.State
+		l = colony.Layering
+		if req.Promote {
+			l = antlayer.Promote(l)
+		}
+		resp.Objective = colony.Objective
+		bestTour := colony.BestTour
+		resp.BestTour = &bestTour
+		resp.ToursRun = toursRun
 	}
 
 	m := l.ComputeMetrics(req.DummyWidth)

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,47 +45,17 @@ type serverMetrics struct {
 	warmMisses     atomic.Int64
 	warmToursSaved atomic.Int64
 
-	mu       sync.Mutex
-	latRing  [latencyWindow]time.Duration // recent /layer latencies
-	latNext  int
-	latCount int64
+	latency *obs.Window // recent /layer latencies, ms
 }
 
 func newServerMetrics() *serverMetrics {
-	return &serverMetrics{start: time.Now()}
+	return &serverMetrics{start: time.Now(), latency: obs.NewWindow(latencyWindow)}
 }
 
 // observeLatency records one /layer request duration (hits and misses
 // alike: the hit/miss split is what makes the p50 interesting).
 func (m *serverMetrics) observeLatency(d time.Duration) {
-	m.mu.Lock()
-	m.latRing[m.latNext] = d
-	m.latNext = (m.latNext + 1) % latencyWindow
-	m.latCount++
-	m.mu.Unlock()
-}
-
-// quantiles returns nearest-rank p50 and p99 over the retained window, in
-// milliseconds.
-func (m *serverMetrics) quantiles() (count int64, p50, p99 float64) {
-	m.mu.Lock()
-	n := int(m.latCount)
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, m.latRing[:n])
-	count = m.latCount
-	m.mu.Unlock()
-	if n == 0 {
-		return count, 0, 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	rank := func(q float64) float64 {
-		i := int(q * float64(n-1))
-		return float64(buf[i].Nanoseconds()) / 1e6
-	}
-	return count, rank(0.50), rank(0.99)
+	m.latency.Add(float64(d.Nanoseconds()) / 1e6)
 }
 
 // MetricsSnapshot is the JSON document /metrics serves. CacheMisses
@@ -174,7 +142,7 @@ func (m *serverMetrics) snapshot(cacheEntries int, cacheBytes, cacheOversize int
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
 	}
-	count, p50, p99 := m.quantiles()
+	count, p50, p99 := m.latency.Summary()
 	return MetricsSnapshot{
 		UptimeSeconds:        time.Since(m.start).Seconds(),
 		RequestsTotal:        m.requests.Load(),

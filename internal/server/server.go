@@ -34,12 +34,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -449,32 +447,6 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 	http.Error(w, fmt.Sprintf(format, args...), status)
 }
 
-// parseLayerHTTP decodes the query and body of a /layer or /jobs request,
-// answering the error response itself; ok reports whether the caller got
-// a usable request.
-func (s *Server) parseLayerHTTP(w http.ResponseWriter, r *http.Request) (req Request, g *antlayer.Graph, names []string, ok bool) {
-	req, err := ParseRequest(r.URL.Query())
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return req, nil, nil, false
-	}
-	if req.Distributed && s.cfg.Coordinator == nil {
-		s.httpError(w, http.StatusBadRequest, "distributed=true but this daemon is not a coordinator (start it with -coordinator)")
-		return req, nil, nil, false
-	}
-	g, names, err = ParseGraph(req, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.httpError(w, http.StatusRequestEntityTooLarge, "graph larger than %d bytes", tooLarge.Limit)
-			return req, nil, nil, false
-		}
-		s.httpError(w, http.StatusBadRequest, "bad %s input: %v", req.Format, err)
-		return req, nil, nil, false
-	}
-	return req, g, names, true
-}
-
 // computeCached serves a request body from the cache, an identical
 // in-flight computation, or a fresh Compute — the one engine behind the
 // synchronous /layer handler and the async job closure, which is what
@@ -492,13 +464,16 @@ func (s *Server) parseLayerHTTP(w http.ResponseWriter, r *http.Request) (req Req
 // source is "hit", "coalesced" or "miss" on success; stage names what
 // was happening when err struck, in the vocabulary deadlineError logs.
 //
-// gk is the request's canonical graph hash (graphKey): a computation
-// that exported a warm-start state files it there. warm is non-nil when
-// the caller's warmPlan warm-started the request (key and req are then
-// already the rewritten ones); it drives the warm hit and tours-saved
-// accounting — a warm "hit" is any request served through a warm
-// lineage, whether the body was computed, coalesced or replayed.
-func (s *Server) computeCached(ctx context.Context, key string, req Request, g *antlayer.Graph, names []string, gk string, warm *warmRun, acquire func(context.Context) (func(), error)) (body []byte, source, stage string, err error) {
+// A computation that exported a warm-start state files it under the
+// call's graph key. A warm-started call (c.warm non-nil) drives the warm
+// hit and tours-saved accounting — a warm "hit" is any request served
+// through a warm lineage, whether the body was computed, coalesced or
+// replayed.
+func (s *Server) computeCached(ctx context.Context, c *call, acquire func(context.Context) (func(), error)) (body []byte, source, stage string, err error) {
+	key, warm := c.key, c.warm
+	if warm != nil {
+		key = warm.key
+	}
 	tr := obs.FromContext(ctx)
 	for {
 		lookup := tr.Begin("cache_lookup")
@@ -556,7 +531,7 @@ func (s *Server) computeCached(ctx context.Context, key string, req Request, g *
 			}
 		}
 		computeStart := tr.Since()
-		body, toursRun, state, err := ComputeWith(ctx, req, g, names, s.islandRunner(req))
+		body, toursRun, state, err := Compute(ctx, c.req, c.g, c.names, s.islandRunner(c.req))
 		tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)
 		s.metrics.toursRun.Add(int64(toursRun))
 		s.metrics.inFlight.Add(-1)
@@ -565,7 +540,7 @@ func (s *Server) computeCached(ctx context.Context, key string, req Request, g *
 			s.flights.finish(key, fl, nil, err)
 			return nil, "", "computing", err
 		}
-		if state != nil && gk != "" && warm == nil {
+		if state != nil && warm == nil {
 			// File a cold run's final state under the graph it solved, so
 			// the next request for this graph — or an edit of it — can
 			// warm-start. Only cold runs publish: they are the stable
@@ -576,7 +551,7 @@ func (s *Server) computeCached(ctx context.Context, key string, req Request, g *
 			// When an edit chain wanders far enough from its anchor that
 			// the similarity probe misses, the cold run that follows
 			// re-anchors it.
-			s.warm.put(gk, names, state)
+			s.warm.put(c.gk, c.names, state)
 		}
 		if warm != nil {
 			s.metrics.warmHits.Add(1)
@@ -629,35 +604,6 @@ func (s *Server) islandRunner(req Request) IslandRunner {
 	}
 }
 
-// sampleTrace decides whether a request mints a trace, per
-// Config.TraceSample. The sampling RNG is deliberately outside the
-// deterministic seed discipline: it selects which requests are observed,
-// never what any of them compute.
-func (s *Server) sampleTrace() bool {
-	switch sample := s.cfg.TraceSample; {
-	case sample >= 1:
-		return true
-	case sample <= 0:
-		return false
-	default:
-		return rand.Float64() < sample
-	}
-}
-
-// requestID resolves the X-Request-ID echo: the trace's ID when one was
-// minted, otherwise the inbound header when well-formed, otherwise a
-// fresh ID — so sampled-out requests still correlate in logs and
-// upstream proxies.
-func (s *Server) requestID(r *http.Request, tr *obs.Trace) string {
-	if tr != nil {
-		return tr.ID()
-	}
-	if id := r.Header.Get("X-Request-ID"); obs.ValidID(id) {
-		return id
-	}
-	return obs.NewID()
-}
-
 // acquireSem is the /layer compute bound: the semaphore caps computation,
 // not connections — a queued request costs one blocked goroutine and
 // still honours its deadline.
@@ -683,48 +629,31 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()
 
-	// One trace per sampled request: the inbound X-Request-ID is honored
-	// when well-formed (so callers and upstream proxies can correlate),
-	// minted otherwise, and always echoed — even when head sampling
-	// (Config.TraceSample) decides this request records no spans, so
-	// correlation never depends on the sampling verdict. A nil trace is
-	// inert everywhere downstream (obs.Trace is nil-safe).
-	var tr *obs.Trace
-	if s.sampleTrace() {
-		tr = s.tracer.New(r.Header.Get("X-Request-ID"))
-		defer s.tracer.Finish(tr)
-	}
-	w.Header().Set("X-Request-ID", s.requestID(r, tr))
+	tr := s.startTrace(w, r)
+	defer s.tracer.Finish(tr)
 
-	parse := tr.Begin("parse")
-	req, g, names, ok := s.parseLayerHTTP(w, r)
-	parse.End()
-	if !ok {
+	c, rej := s.prepare(r.URL.Query(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), tr)
+	if rej != nil {
+		s.writeRejection(w, rej)
 		return
 	}
-	key := requestKey(req, g, names)
-	gk := graphKey(g, names)
-	w.Header().Set("X-Cache-Key", key)
+	w.Header().Set("X-Cache-Key", c.key)
 	// The graph's canonical hash is the handle a client passes back as
 	// base= to name this graph as the warm-start lineage of its next
 	// edit.
-	w.Header().Set("X-Graph-Key", gk)
-
-	wspan := tr.Begin("warm")
-	req, key, warm, probed := s.warmPlan(req, g, names, key, gk)
-	wspan.End()
+	w.Header().Set("X-Graph-Key", c.gk)
 	switch {
-	case warm != nil:
+	case c.warm != nil:
 		w.Header().Set("X-Warm", "hit")
-		w.Header().Set("X-Warm-Base", warm.baseKey)
-	case probed:
+		w.Header().Set("X-Warm-Base", c.warm.baseKey)
+	case c.probed:
 		w.Header().Set("X-Warm", "miss")
 	}
 
-	ctx, cancel := context.WithTimeout(obs.NewContext(r.Context(), tr), s.timeout(req))
+	ctx, cancel := context.WithTimeout(obs.NewContext(r.Context(), tr), c.timeout)
 	defer cancel()
 
-	body, source, stage, err := s.computeCached(ctx, key, req, g, names, gk, warm, s.acquireSem)
+	body, source, stage, err := s.computeCached(ctx, c, s.acquireSem)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadlineError(w, r, err, stage)
@@ -735,31 +664,17 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 			// is derived from the scheduler's stats — pending runs over
 			// dispatch slots, scaled by observed run duration — so clients
 			// back off proportionally to the actual congestion.
-			retry := s.cfg.Coordinator.RetryAfterSeconds()
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.httpError(w, http.StatusTooManyRequests, "distributed run queue full; retry in %ds", retry)
+			s.writeRejection(w, &rejection{status: http.StatusTooManyRequests,
+				retryAfter: s.cfg.Coordinator.RetryAfterSeconds(), msg: "distributed run queue full"})
 			return
 		}
 		s.httpError(w, http.StatusBadRequest, "layering failed: %v", err)
 		return
 	}
 	s.log().Info("layer served",
-		"trace", tr.ID(), "source", source, "warm", warm != nil, "n", g.N(), "m", g.M(),
-		"algo", string(req.Algo), "dur", time.Since(start).Round(time.Microsecond))
+		"trace", tr.ID(), "source", source, "warm", c.warm != nil, "n", c.g.N(), "m", c.g.M(),
+		"algo", c.req.Algo, "dur", time.Since(start).Round(time.Microsecond))
 	s.writeBody(w, body, source)
-}
-
-// timeout resolves a request's computation deadline: the server default,
-// overridden per-request, capped by MaxTimeout.
-func (s *Server) timeout(req Request) time.Duration {
-	timeout := s.cfg.DefaultTimeout
-	if req.Timeout > 0 {
-		timeout = req.Timeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	return timeout
 }
 
 // deadlineError maps a context error: 504 when the request's deadline

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"antlayer"
 	"antlayer/internal/core"
 )
 
@@ -213,62 +212,60 @@ func (c *warmCache) stats() (entries int, bytes int64) {
 	return c.ll.Len(), c.bytes
 }
 
-// warmRun carries what computeCached needs to account for a warm-started
-// request: the lineage (for logs and the X-Warm-Base header) and the
-// tour budget the request would have burned cold, so tours_saved can be
-// measured against what actually ran.
+// warmRun carries what computeCached needs to serve a warm-started call:
+// the lineage-suffixed result-cache key, the lineage itself (for logs and
+// the X-Warm-Base header) and the tour budget the request would have
+// burned cold, so tours_saved can be measured against what actually ran.
 type warmRun struct {
+	key        string
 	baseKey    string
 	similarity float64
 	coldTours  int
 }
 
-// warmPlan decides how a parsed request computes: cold, or warm-started
+// warmPlan decides how a prepared call computes: cold, or warm-started
 // from a cached state. For every warm-eligible request (algo aco or
 // island, warm not disabled, no caller-supplied state) it flips on
-// state export, so cold computes feed the warm cache. When a usable
-// base state exists — named by base=, or found by the similarity probe
-// — it is remapped onto the request's graph by vertex name and injected
-// as ACO.Warm, the tour budget is cut to WarmToursFrac of the cold
-// budget, and the stall-tours early stop is armed (unless the request
-// set its own); the effective result-cache key gains the lineage
-// (base key + generation) so warm bodies never collide with cold ones
-// and replays of the same lineage stay byte-identical.
-//
-// Returns the possibly-rewritten request and key, and a non-nil
-// *warmRun exactly when the request was warm-started. The bool reports
-// whether the request was eligible and probed at all (for the miss
-// counter).
-func (s *Server) warmPlan(req Request, g *antlayer.Graph, names []string, key, gk string) (Request, string, *warmRun, bool) {
+// state export, so cold computes feed the warm cache, and sets c.probed.
+// When a usable base state exists — named by base=, or found by the
+// similarity probe — it is remapped onto the request's graph by vertex
+// name and injected as ACO.Warm, the tour budget is cut to WarmToursFrac
+// of the cold budget, and the stall-tours early stop is armed (unless the
+// request set its own); c.warm then carries a result-cache key extended
+// by the lineage (base key + generation), so warm bodies never collide
+// with cold ones and replays of the same lineage stay byte-identical.
+func (s *Server) warmPlan(c *call) {
+	req := &c.req
 	if s.warm == nil || !req.Warm || req.ACO.Warm != nil {
-		return req, key, nil, false
+		return
 	}
 	if req.Algo != "aco" && req.Algo != "island" {
-		return req, key, nil, false
+		return
 	}
 	req.ACO.ExportState = true
-	if _, ok := s.cache.Get(key); ok {
+	if _, ok := s.cache.Get(c.key); ok {
 		// The exact body is already in the result cache: serving it beats
 		// re-running even a warm colony, and exact repeats stay
 		// byte-identical to their first answer. Warm planning is only for
 		// requests that actually have to compute.
-		return req, key, nil, false
+		return
 	}
+	c.probed = true
 	var entry *warmEntry
 	sim := 1.0
 	if req.Base != "" {
 		entry, _ = s.warm.get(req.Base)
 	} else {
-		entry, sim = s.warm.probe(names, s.cfg.WarmMinSimilarity)
+		entry, sim = s.warm.probe(c.names, s.cfg.WarmMinSimilarity)
 	}
 	if entry == nil {
 		// Eligible, probed, nothing usable: a warm miss — the cold run
 		// that follows will export its state and seed the next one.
 		s.metrics.warmMisses.Add(1)
-		return req, key, nil, true
+		return
 	}
-	mapping := core.MapByName(entry.names, names)
-	req.ACO.Warm = entry.state.Remap(mapping, g.N())
+	mapping := core.MapByName(entry.names, c.names)
+	req.ACO.Warm = entry.state.Remap(mapping, c.g.N())
 	coldTours := req.ACO.Tours
 	islands := 1
 	if req.Algo == "island" {
@@ -284,6 +281,10 @@ func (s *Server) warmPlan(req Request, g *antlayer.Graph, names []string, key, g
 	if req.ACO.StopAfterStagnantTours == 0 && s.cfg.WarmStallTours > 0 {
 		req.ACO.StopAfterStagnantTours = s.cfg.WarmStallTours
 	}
-	effKey := key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10)
-	return req, effKey, &warmRun{baseKey: entry.key, similarity: sim, coldTours: coldTours * islands}, true
+	c.warm = &warmRun{
+		key:        c.key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10),
+		baseKey:    entry.key,
+		similarity: sim,
+		coldTours:  coldTours * islands,
+	}
 }

@@ -212,24 +212,3 @@ func TestWebhookValidation(t *testing.T) {
 		t.Fatalf("unknown subscription DELETE answered %d, want 404", resp.StatusCode)
 	}
 }
-
-// TestWebhookBackoffSchedule pins the schedule against the worker
-// reconnect curve it mirrors: doubling from base with deterministic
-// jitter, capped at max.
-func TestWebhookBackoffSchedule(t *testing.T) {
-	base, max := 100*time.Millisecond, 5*time.Second
-	want := []time.Duration{
-		100 * time.Millisecond,    // attempt 0: base, no jitter
-		212500 * time.Microsecond, // attempt 1: 200ms + 1/16
-		450 * time.Millisecond,    // attempt 2: 400ms + 2/16
-		950 * time.Millisecond,    // attempt 3: 800ms + 3/16
-		2000 * time.Millisecond,   // attempt 4: 1600ms + 4/16
-		3200 * time.Millisecond,   // attempt 5: jitter index wraps to 0
-		5 * time.Second,           // attempt 6: capped
-	}
-	for k, w := range want {
-		if got := webhookBackoff(base, max, k); got != w {
-			t.Errorf("attempt %d backoff = %s, want %s", k, got, w)
-		}
-	}
-}

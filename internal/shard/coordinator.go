@@ -121,14 +121,13 @@ type Coordinator struct {
 	seq     uint64 // wire sequence: fresh per run attempt, tags frames
 
 	// Scheduler state, guarded by mu (see scheduler.go).
-	queue         []*pendingRun // pending runs in admission order
-	admit         uint64        // admission sequence: queue order tie-break
-	running       int           // runs currently holding leases
-	peakRunning   int           // high-water mark of running
-	runDurTotal   time.Duration // wall time of completed runs (Retry-After)
-	runsDone      int64
-	dispatchMs    [dispatchWindow]float64 // time-to-dispatch ring, ms
-	dispatchCount int64
+	queue       []*pendingRun // pending runs in admission order
+	admit       uint64        // admission sequence: queue order tie-break
+	running     int           // runs currently holding leases
+	peakRunning int           // high-water mark of running
+	runDurTotal time.Duration // wall time of completed runs (Retry-After)
+	runsDone    int64
+	dispatchMs  *obs.Window // recent time-to-dispatch samples, ms
 	// launch starts a dispatched run on its lease; c.execute in
 	// production, substituted by the scheduler benchmark.
 	launch func(r *pendingRun, lease []*workerConn)
@@ -149,7 +148,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard()
 	}
-	c := &Coordinator{cfg: cfg, workers: make(map[int]*workerConn)}
+	c := &Coordinator{cfg: cfg, workers: make(map[int]*workerConn), dispatchMs: obs.NewWindow(dispatchWindow)}
 	c.launch = c.execute
 	return c
 }
@@ -245,7 +244,7 @@ func (c *Coordinator) reap(now time.Time) int {
 func (c *Coordinator) handshake(conn net.Conn) {
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	var m message
-	if err := readFrame(conn, &m); err != nil || m.Type != msgHello {
+	if err := readFrame(conn, &m, maxHelloFrame); err != nil || m.Type != msgHello {
 		conn.Close()
 		return
 	}
@@ -299,7 +298,7 @@ func secretsEqual(got, want string) bool {
 func (c *Coordinator) readLoop(w *workerConn) {
 	for {
 		var m message
-		err := readFrame(w.conn, &m)
+		err := readFrame(w.conn, &m, maxFrame)
 		c.mu.Lock()
 		w.lastSeen = time.Now()
 		if err == nil && m.Type == msgHeartbeat {
@@ -712,7 +711,7 @@ func (c *Coordinator) Metrics() ClusterMetrics {
 		Migrations:         c.migrations.Load(),
 		HeartbeatExpels:    c.beatExpels.Load(),
 	}
-	m.DispatchMs.Count, m.DispatchMs.P50Ms, m.DispatchMs.P99Ms = c.dispatchQuantilesLocked()
+	m.DispatchMs.Count, m.DispatchMs.P50Ms, m.DispatchMs.P99Ms = c.dispatchMs.Summary()
 	if c.cfg.HeartbeatTimeout > 0 {
 		m.HeartbeatTimeoutMs = float64(c.cfg.HeartbeatTimeout.Nanoseconds()) / 1e6
 	}

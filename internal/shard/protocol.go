@@ -43,6 +43,12 @@ import (
 // for very large graphs.
 const maxFrame = 64 << 20
 
+// maxHelloFrame bounds the handshake's hello frame, read before the
+// shared secret is checked: a worker name and a secret fit in a few
+// hundred bytes, so an unauthenticated peer cannot make the coordinator
+// allocate more than this.
+const maxHelloFrame = 4 << 10
+
 // Frame types.
 const (
 	msgHello     = "hello"
@@ -115,15 +121,16 @@ func writeFrame(w io.Writer, m *message) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed JSON frame.
-func readFrame(r io.Reader, m *message) error {
+// readFrame reads one length-prefixed JSON frame of at most limit bytes;
+// a larger length prefix is refused before anything is allocated.
+func readFrame(r io.Reader, m *message, limit uint32) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err // io.EOF on a clean close; callers label the context
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("shard: incoming frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
+	if n > limit {
+		return fmt.Errorf("shard: incoming frame of %d bytes exceeds the %d-byte limit", n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

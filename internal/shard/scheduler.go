@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"antlayer/internal/dag"
 	"antlayer/internal/island"
 	"antlayer/internal/obs"
+	"antlayer/internal/retry"
 )
 
 // ErrRunQueueFull reports a distributed run rejected at admission because
@@ -217,8 +217,7 @@ func (c *Coordinator) dispatchLocked() {
 		if c.running > c.peakRunning {
 			c.peakRunning = c.running
 		}
-		c.dispatchMs[c.dispatchCount%dispatchWindow] = float64(r.dispatchedAt.Sub(r.enqueuedAt).Nanoseconds()) / 1e6
-		c.dispatchCount++
+		c.dispatchMs.Add(float64(r.dispatchedAt.Sub(r.enqueuedAt).Nanoseconds()) / 1e6)
 		go c.launch(r, lease)
 	}
 }
@@ -339,15 +338,11 @@ func (c *Coordinator) fleetChangedLocked() {
 }
 
 // RetryAfterSeconds estimates when queue capacity frees up, for 429
-// Retry-After headers: pending work over dispatch slots, scaled by the
-// observed mean run duration, clamped to [1, 30] seconds.
+// Retry-After headers: pending runs over dispatch slots, scaled by the
+// observed mean run duration (retry.AfterSeconds).
 func (c *Coordinator) RetryAfterSeconds() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pending := len(c.queue) + c.running
-	if pending == 0 {
-		return 1
-	}
 	mean := time.Second
 	if c.runsDone > 0 {
 		mean = c.runDurTotal / time.Duration(c.runsDone)
@@ -356,39 +351,5 @@ func (c *Coordinator) RetryAfterSeconds() int {
 	if c.cfg.MaxConcurrentRuns > 0 && slots > c.cfg.MaxConcurrentRuns {
 		slots = c.cfg.MaxConcurrentRuns
 	}
-	if slots < 1 {
-		slots = 1
-	}
-	secs := int(math.Ceil(float64(pending) * mean.Seconds() / float64(slots)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
-}
-
-// dispatchQuantilesLocked summarises the recent time-to-dispatch window
-// (nearest-rank, like the server's latency quantiles).
-func (c *Coordinator) dispatchQuantilesLocked() (count int64, p50, p99 float64) {
-	count = c.dispatchCount
-	n := int(count)
-	if n > dispatchWindow {
-		n = dispatchWindow
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	lat := make([]float64, n)
-	copy(lat, c.dispatchMs[:n])
-	sort.Float64s(lat)
-	rank := func(q float64) float64 {
-		i := int(q * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return lat[i]
-	}
-	return count, rank(0.50), rank(0.99)
+	return retry.AfterSeconds(len(c.queue)+c.running, slots, mean)
 }

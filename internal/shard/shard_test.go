@@ -2,6 +2,8 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -263,7 +265,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	sent := message{Type: msgEpoch, Seq: 9, Epoch: 3, Elites: []island.Elite{{Island: 1, Assign: []int{1, 2}, Objective: 0.25}}}
 	go func() { _ = writeFrame(a, &sent) }()
 	var got message
-	if err := readFrame(b, &got); err != nil {
+	if err := readFrame(b, &got, maxFrame); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, sent) {
@@ -280,7 +282,7 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 		_, _ = a.Write(hdr)
 	}()
 	var m message
-	if err := readFrame(b, &m); err == nil {
+	if err := readFrame(b, &m, maxFrame); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 }
@@ -309,10 +311,38 @@ func TestHandshakeRejectsNonHello(t *testing.T) {
 	}
 	// The coordinator must close the connection without registering it.
 	var m message
-	if err := readFrame(conn, &m); err == nil {
+	if err := readFrame(conn, &m, maxFrame); err == nil {
 		t.Fatalf("got %s frame, want closed connection", m.Type)
 	}
 	if c.Workers() != 0 {
 		t.Errorf("non-hello connection registered")
+	}
+}
+
+// TestHandshakeRefusesOversizeHello: the hello frame is read before the
+// secret check, so its length prefix is capped — a peer announcing a
+// 64 MiB hello is disconnected at once instead of pinning that much
+// memory for the whole handshake timeout.
+func TestHandshakeRefusesOversizeHello(t *testing.T) {
+	_, addr, _, cancel := startCoordinator(t, CoordinatorConfig{Secret: "hunter2"})
+	defer cancel()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	var buf [1]byte
+	_, err = conn.Read(buf[:])
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open 1s after an oversize hello header")
+	}
+	if err == nil {
+		t.Fatal("coordinator answered an oversize hello instead of closing")
 	}
 }

@@ -130,7 +130,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 		return err
 	}
 	var welcome message
-	if err := readFrame(conn, &welcome); err != nil || welcome.Type != msgWelcome {
+	if err := readFrame(conn, &welcome, maxFrame); err != nil || welcome.Type != msgWelcome {
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -172,7 +172,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 
 	for {
 		var m message
-		if err := readFrame(conn, &m); err != nil {
+		if err := readFrame(conn, &m, maxFrame); err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
@@ -293,7 +293,7 @@ func (m *netMigrator) Exchange(ctx context.Context, epoch int, local []island.El
 	}
 	for {
 		var reply message
-		if err := readFrame(m.lc.conn, &reply); err != nil {
+		if err := readFrame(m.lc.conn, &reply, maxFrame); err != nil {
 			if ctx.Err() != nil {
 				return nil, false, fmt.Errorf("shard: exchange aborted: %w", ctx.Err())
 			}
