@@ -110,12 +110,9 @@ func TestClusterConcurrentRuns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// -max-concurrent is load-bearing: on a single-CPU machine the
-	// GOMAXPROCS default is 1 and the HTTP compute semaphore would
-	// serialize the pair before the scheduler ever saw the second run.
 	serve := exec.CommandContext(ctx, bin, "serve",
 		"-addr", "127.0.0.1:0", "-coordinator", "127.0.0.1:0",
-		"-cache", "-1", "-max-concurrent", "8", "-heartbeat-timeout", "1s")
+		"-cache", "-1", "-heartbeat-timeout", "1s")
 	stdout, err := serve.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

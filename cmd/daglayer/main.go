@@ -34,8 +34,13 @@
 //
 //	daglayer serve [-addr :8645] [-cache 256] [-cache-bytes 67108864]
 //	               [-max-concurrent 0] [-timeout 30s] [-max-timeout 2m]
-//	               [-job-workers 0] [-job-queue 64] [-job-retention 256]
-//	               [-job-expiry 0] [-coordinator ""] [-quiet]
+//	               [-job-queue 64] [-job-retention 256] [-job-expiry 0]
+//	               [-coordinator ""] [-quiet]
+//
+// -max-concurrent sizes the one pool of compute slots that every
+// in-process computation takes, from /layer, /jobs or a bulk line, and the
+// job worker pool with it (default GOMAXPROCS). Distributed runs on a
+// live fleet take no slot; the coordinator's run queue admits them.
 //
 // A daemon started with -coordinator also coordinates a distributed
 // archipelago: worker processes register with it and island runs with

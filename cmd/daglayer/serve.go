@@ -21,12 +21,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		addr        = fs.String("addr", ":8645", "listen address")
 		cacheSize   = fs.Int("cache", 256, "result cache capacity in responses (negative disables)")
 		cacheBytes  = fs.Int64("cache-bytes", 64<<20, "result cache body-byte budget; bodies over an eighth of it are never cached (negative = entry-counted only)")
-		maxConc     = fs.Int("max-concurrent", 0, "max concurrently computing requests (0 = GOMAXPROCS)")
+		maxConc     = fs.Int("max-concurrent", 0, "compute slots shared by every in-process computation (/layer, /jobs, bulk lines); also the job worker count (0 = GOMAXPROCS)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 		maxTimeout  = fs.Duration("max-timeout", 2*time.Minute, "cap on the per-request timeout-ms override")
 		maxBody     = fs.Int64("max-body", 8<<20, "request body size limit in bytes")
 		grace       = fs.Duration("shutdown-grace", 10*time.Second, "how long shutdown waits for in-flight requests")
-		jobWorkers  = fs.Int("job-workers", 0, "async job worker pool size (0 = GOMAXPROCS)")
 		jobQueue    = fs.Int("job-queue", 64, "async job backlog bound; POST /jobs beyond it answers 429")
 		jobRetain   = fs.Int("job-retention", 256, "finished jobs kept pollable before eviction")
 		jobExpiry   = fs.Duration("job-expiry", 0, "additionally evict finished jobs older than this (0 = count bound only)")
@@ -36,12 +35,8 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		coordinator = fs.String("coordinator", "", "also run a shard coordinator on this address (e.g. :8650); workers join with 'daglayer worker'")
 		hbTimeout   = fs.Duration("heartbeat-timeout", 0, "expel workers silent longer than this (0 = library default, negative disables)")
 		runQueue    = fs.Int("run-queue", 0, "distributed-run admission queue bound; runs beyond it answer 429 (0 = default 16, negative = dispatch-or-reject)")
-		maxRuns     = fs.Int("max-runs", 0, "cap on concurrently dispatched distributed runs (0 = worker availability is the only bound)")
 		secret      = fs.String("cluster-secret", "", "shared secret workers must present to register (empty = open cluster)")
 		warmBytes   = fs.Int64("warm-cache-bytes", 0, "warm-start state cache budget in bytes (0 = default 64 MiB, negative disables warm starting)")
-		warmFrac    = fs.Float64("warm-tours-frac", 0, "fraction of the cold tour budget a warm-started run gets (0 = default 1/3)")
-		warmStall   = fs.Int("warm-stall-tours", 0, "stall-tours early stop injected into warm-started runs that set none (0 = default 3, negative disables)")
-		warmMinSim  = fs.Float64("warm-min-similarity", 0, "minimum vertex-name overlap ratio the similarity probe requires (0 = default 0.5)")
 		traceSample = fs.Float64("trace-sample", 1, "fraction of requests that get a trace (head sampling; 1 = every request)")
 		faultDelay  = fs.Duration("fault-compute-delay", 0, "TESTING ONLY: add this delay to every computation, simulating a slow backend for chaos scenarios")
 		quiet       = fs.Bool("quiet", false, "suppress per-request logging")
@@ -102,8 +97,15 @@ address and island runs with distributed=true shard across them,
 byte-identical to in-process runs (README "Cluster"). Distinct runs
 lease disjoint worker subsets and proceed concurrently; -run-queue
 bounds the admission backlog (beyond it /layer answers 429 with a
-stats-derived Retry-After), -max-runs caps the overlap, and
--cluster-secret gates worker registration.
+stats-derived Retry-After) and -cluster-secret gates worker
+registration.
+
+-max-concurrent is the daemon's one bound on local compute: every
+computation that runs in-process, from /layer, /jobs or a bulk line,
+takes one of its slots, and the job worker pool has as many workers.
+A /layer request waits for a slot until its deadline (never 429); a job
+waits inside its own deadline. Distributed runs on a live fleet take no
+slot: the coordinator's queue admits them.
 
 flags:
 `)
@@ -121,7 +123,6 @@ flags:
 		MaxTimeout:        *maxTimeout,
 		MaxBodyBytes:      *maxBody,
 		ShutdownGrace:     *grace,
-		JobWorkers:        *jobWorkers,
 		JobQueueDepth:     *jobQueue,
 		JobRetention:      *jobRetain,
 		JobExpiry:         *jobExpiry,
@@ -133,9 +134,6 @@ flags:
 		TraceSlowest:      *traceSlow,
 		TraceSample:       *traceSample,
 		WarmCacheBytes:    *warmBytes,
-		WarmToursFrac:     *warmFrac,
-		WarmStallTours:    *warmStall,
-		WarmMinSimilarity: *warmMinSim,
 		EnablePprof:       *pprofOn,
 	}
 	if *traceSample == 0 {
@@ -155,11 +153,10 @@ flags:
 		// loop; the daemon only uses it for distributed compute and
 		// metrics. Both shut down with ctx.
 		coord := shard.NewCoordinator(shard.CoordinatorConfig{
-			Log:               cfg.Log,
-			HeartbeatTimeout:  *hbTimeout,
-			QueueDepth:        *runQueue,
-			MaxConcurrentRuns: *maxRuns,
-			Secret:            *secret,
+			Log:              cfg.Log,
+			HeartbeatTimeout: *hbTimeout,
+			QueueDepth:       *runQueue,
+			Secret:           *secret,
 		})
 		ln, err := net.Listen("tcp", *coordinator)
 		if err != nil {

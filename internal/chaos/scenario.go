@@ -206,7 +206,7 @@ func queueFull() Scenario {
 		Fast:        true,
 		Seed:        64,
 		Workers:     0,
-		ServeArgs:   []string{"-job-workers", "1", "-job-queue", "2", "-fault-compute-delay", "150ms"},
+		ServeArgs:   []string{"-max-concurrent", "1", "-job-queue", "2", "-fault-compute-delay", "150ms"},
 		RPS:         10,
 		// A slice of the job traffic watches its submissions over SSE
 		// instead of polling, so the flood also proves the push path keeps
@@ -260,12 +260,7 @@ func concurrentRuns() Scenario {
 		Fast:        true,
 		Seed:        66,
 		Workers:     4,
-		// -max-concurrent 8 is load-bearing: on a single-CPU CI machine
-		// the GOMAXPROCS default is 1 and the HTTP compute semaphore
-		// would serialize requests before the scheduler ever saw a second
-		// run — no overlap could be observed no matter how the scheduler
-		// behaves.
-		ServeArgs: []string{"-cache", "-1", "-heartbeat-timeout", "1s", "-max-concurrent", "8"},
+		ServeArgs:   []string{"-cache", "-1", "-heartbeat-timeout", "1s"},
 		// The epoch delay keeps each distributed run in flight for
 		// ~50ms; at 40 rps the arrival interval is 25ms, so overlapping
 		// K=2 runs are the norm, not a lucky race.

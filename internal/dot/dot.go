@@ -216,8 +216,14 @@ func ReadEdgeListNamed(r io.Reader) (*dag.Graph, []string, error) {
 	return g, names, nil
 }
 
+// nextLine returns the next non-blank, non-comment line. A read error
+// (say an http.MaxBytesError) is returned as soon as the scanner has hit
+// it, before the line it may have cut short is parsed.
 func nextLine(sc *bufio.Scanner) (string, error) {
 	for sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return "", err
+		}
 		s := strings.TrimSpace(sc.Text())
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue

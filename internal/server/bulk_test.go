@@ -134,7 +134,7 @@ func TestBulkEnvelopeMode(t *testing.T) {
 // carrying the Retry-After hint, not a silently dropped request.
 func TestBulkQueueFullRejection(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		JobWorkers: 1, JobQueueDepth: 1,
+		MaxConcurrent: 1, JobQueueDepth: 1,
 		FaultComputeDelay: 300 * time.Millisecond,
 	})
 	var reqs [][2]string

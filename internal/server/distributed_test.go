@@ -182,7 +182,8 @@ func TestClusterEndpoint(t *testing.T) {
 // HTTP layer: two different K=2 distributed requests on a 4-worker fleet
 // run at the same time (the fault delay keeps each run in flight long
 // enough that the scheduler must overlap them), and each body is
-// byte-identical to its in-process twin.
+// byte-identical to its in-process twin. The daemon has a single compute
+// slot, which distributed runs never take.
 func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
 	queries := []string{
 		"algo=island&islands=2&tours=3&migration-interval=1&seed=41",
@@ -199,10 +200,9 @@ func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
 	}
 
 	coord := testClusterCfg(t, 4, shard.CoordinatorConfig{}, &shard.FaultPlan{EpochDelay: 15 * time.Millisecond})
-	// MaxConcurrent must exceed 1 explicitly: on a single-CPU machine the
-	// GOMAXPROCS default would serialize the requests at the compute
-	// semaphore before the scheduler ever sees the second run.
-	_, ts := newTestServer(t, Config{CacheSize: -1, WarmCacheBytes: -1, MaxConcurrent: 4, Coordinator: coord})
+	// One compute slot: distributed runs on a live fleet take none, so the
+	// scheduler still sees both runs at once.
+	_, ts := newTestServer(t, Config{CacheSize: -1, WarmCacheBytes: -1, MaxConcurrent: 1, Coordinator: coord})
 	type result struct {
 		i    int
 		code int
@@ -239,9 +239,9 @@ func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
 // is not the same as the cluster being absent).
 func TestLayerRunQueueFull429(t *testing.T) {
 	coord := testClusterCfg(t, 1,
-		shard.CoordinatorConfig{MaxConcurrentRuns: 1, QueueDepth: -1},
+		shard.CoordinatorConfig{QueueDepth: -1},
 		&shard.FaultPlan{EpochDelay: 50 * time.Millisecond})
-	_, ts := newTestServer(t, Config{CacheSize: -1, MaxConcurrent: 4, Coordinator: coord})
+	_, ts := newTestServer(t, Config{CacheSize: -1, Coordinator: coord})
 
 	first := make(chan []byte, 1)
 	go func() {

@@ -103,10 +103,11 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 // submitJob admits a prepared call to the job queue — the one job
 // closure behind POST /jobs and /jobs/bulk lines. The deadline starts
 // when a worker picks the job up, not at submission: a job is not
-// punished for waiting out a long queue. tr (nil for bulk lines) spans
-// the job's whole life, queue wait included, and is finished when the
-// job settles. A full queue is refused 429 with a Retry-After derived
-// from the queue stats, a closed one 503.
+// punished for waiting out a long queue, but the deadline does cover its
+// wait for a compute slot, which /layer requests share. tr (nil for bulk
+// lines) spans the job's whole life, queue wait included, and is
+// finished when the job settles. A full queue is refused 429 with a
+// Retry-After derived from the queue stats, a closed one 503.
 func (s *Server) submitJob(c *call, tr *obs.Trace) (*batch.Job, *rejection) {
 	enqueued := tr.Since()
 	job, err := s.jobs.SubmitTraced(func(ctx context.Context) ([]byte, error) {
@@ -114,8 +115,7 @@ func (s *Server) submitJob(c *call, tr *obs.Trace) (*batch.Job, *rejection) {
 		tr.Observe("queue_wait", "", 0, enqueued, tr.Since()-enqueued)
 		ctx, cancel := context.WithTimeout(obs.NewContext(ctx, tr), c.timeout)
 		defer cancel()
-		// No semaphore: the job worker pool is the compute bound here.
-		body, _, _, err := s.computeCached(ctx, c, nil)
+		body, _, _, err := s.computeCached(ctx, c)
 		return body, err
 	}, tr.ID(), c.req.Labels...)
 	switch {

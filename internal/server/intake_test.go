@@ -70,15 +70,21 @@ func TestIntakeParity(t *testing.T) {
 	}
 
 	// An oversize body only exists on the HTTP paths: a bulk line is
-	// bounded by the line scanner instead.
-	big := "digraph {" + strings.Repeat(" a -> b;", 64) + " }"
-	lresp, lbody := postRaw(t, ts, "/layer", "", big)
-	jresp, jbody := postRaw(t, ts, "/jobs", "", big)
-	if lresp.StatusCode != http.StatusRequestEntityTooLarge || jresp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize: /layer %d, /jobs %d, want 413", lresp.StatusCode, jresp.StatusCode)
-	}
-	if want := "graph larger than 256 bytes\n"; string(lbody) != want || string(jbody) != want {
-		t.Errorf("oversize: /layer %q, /jobs %q, want %q", lbody, jbody, want)
+	// bounded by the line scanner instead. The limit cuts an edge list
+	// mid-line, and the cut line must not be parsed as a bad edge.
+	for _, big := range []struct{ format, graph string }{
+		{"dot", "digraph {" + strings.Repeat(" a -> b;", 64) + " }"},
+		{"edges", bigEdgeList(100)},
+	} {
+		query := "format=" + big.format
+		lresp, lbody := postRaw(t, ts, "/layer", query, big.graph)
+		jresp, jbody := postRaw(t, ts, "/jobs", query, big.graph)
+		if lresp.StatusCode != http.StatusRequestEntityTooLarge || jresp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize %s: /layer %d, /jobs %d, want 413", big.format, lresp.StatusCode, jresp.StatusCode)
+		}
+		if want := "graph larger than 256 bytes\n"; string(lbody) != want || string(jbody) != want {
+			t.Errorf("oversize %s: /layer %q, /jobs %q, want %q", big.format, lbody, jbody, want)
+		}
 	}
 }
 

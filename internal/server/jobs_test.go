@@ -148,7 +148,7 @@ func TestJobsIslandAlgo(t *testing.T) {
 // mid-flight fails with the 499-style reason, through the colony's
 // context plumbing.
 func TestJobsCancellation(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	resp, status := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
@@ -183,7 +183,7 @@ func TestJobsCancellation(t *testing.T) {
 
 // TestJobsCancelQueued cancels a job that never left the backlog.
 func TestJobsCancelQueued(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 4})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, JobQueueDepth: 4})
 	// Occupy the single worker.
 	_, blocker := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300))
 	resp, queued := postJob(t, ts, "seed=2", demoDOT)
@@ -203,7 +203,7 @@ func TestJobsCancelQueued(t *testing.T) {
 
 // TestJobsQueueFull fills the backlog and expects 429 with Retry-After.
 func TestJobsQueueFull(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 1})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, JobQueueDepth: 1})
 	// One job computing, one queued: the next submit must bounce.
 	_, running := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300))
 	if _, st := postJob(t, ts, "seed=2", demoDOT); st.ID == "" {
@@ -272,7 +272,7 @@ func TestJobsValidation(t *testing.T) {
 // TestJobsManyConcurrent floods the queue within its bounds and expects
 // every job to finish done, exercising the pool under parallel load.
 func TestJobsManyConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 4, JobQueueDepth: 32})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 4, JobQueueDepth: 32})
 	ids := make([]string, 0, 12)
 	for i := 0; i < 12; i++ {
 		resp, status := postJob(t, ts, fmt.Sprintf("seed=%d&tours=2", i), demoDOT)
@@ -297,7 +297,7 @@ func TestJobsManyConcurrent(t *testing.T) {
 // run — whichever interleaving happens (concurrent → single-flight
 // coalesce, sequential → cache hit), exactly one body is ever computed.
 func TestJobsIdenticalRequestsComputeOnce(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 4})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	ids := make([]string, 4)
 	for i := range ids {
 		resp, status := postJob(t, ts, "seed=11&tours=4&ants=8", demoDOT)

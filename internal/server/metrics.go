@@ -29,7 +29,7 @@ type serverMetrics struct {
 	errors        atomic.Int64 // /layer requests answered with a 4xx/5xx
 	timeouts      atomic.Int64 // /layer requests answered 504
 	toursRun      atomic.Int64 // colony tours executed (cache hits run zero)
-	inFlight      atomic.Int64 // /layer requests currently being computed
+	inFlight      atomic.Int64 // computations currently running (any path)
 	distRuns      atomic.Int64 // island runs served by the worker fleet
 	distFallbacks atomic.Int64 // distributed requests computed in-process (no workers)
 	sseStreams    atomic.Int64 // SSE streams opened (per-job and firehose)

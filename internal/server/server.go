@@ -9,9 +9,11 @@
 //     hash. Colony runs are bitwise-deterministic (PR 1), so a hit returns
 //     exactly the bytes a recomputation would produce — repeated graphs
 //     are free. /layer and /jobs share the cache.
-//   - A semaphore bounds the number of concurrently computing /layer
-//     requests; waiting requests hold no worker resources and honour
-//     their deadline while queued.
+//   - One pool of compute slots bounds the colonies running in-process,
+//     whichever path (/layer, /jobs, a bulk line) they came from; waiting
+//     requests hold no worker resources and honour their deadline while
+//     queued. Distributed runs take no slot: the cluster scheduler admits
+//     them.
 //   - POST /jobs enqueues the request on a bounded job queue (202 + job
 //     id; 429 when the backlog is full) worked by a fixed pool, so
 //     clients submit many graphs without holding a connection open per
@@ -65,9 +67,11 @@ type Config struct {
 	// purge dozens of plain layering entries). 0 means the default
 	// (64 MiB); negative disables the byte bound (entry-counted only).
 	CacheMaxBytes int64
-	// MaxConcurrent bounds the /layer requests computing at once; further
-	// requests queue (holding no CPU) until a slot or their deadline.
-	// 0 means GOMAXPROCS.
+	// MaxConcurrent is the number of compute slots: it bounds the
+	// computations running in-process at once, summed over /layer, /jobs
+	// and bulk lines, and sizes the job worker pool. Further computations
+	// wait (holding no CPU) until a slot frees or their deadline passes.
+	// Distributed runs on a live fleet take no slot. 0 means GOMAXPROCS.
 	MaxConcurrent int
 	// DefaultTimeout bounds a /layer request that sends no timeout-ms.
 	// Default 30s.
@@ -79,9 +83,6 @@ type Config struct {
 	// ShutdownGrace bounds how long Serve waits for in-flight requests
 	// after its context is cancelled. Default 10s.
 	ShutdownGrace time.Duration
-	// JobWorkers is the worker-pool size of the async /jobs queue.
-	// 0 means GOMAXPROCS.
-	JobWorkers int
 	// JobQueueDepth bounds how many submitted jobs may wait for a worker;
 	// POST /jobs beyond it answers 429. 0 means 64.
 	JobQueueDepth int
@@ -103,11 +104,6 @@ type Config struct {
 	// WebhookRetries bounds delivery attempts per webhook event (the
 	// first try plus retries). 0 means 4.
 	WebhookRetries int
-	// WebhookRetryBase seeds the webhook retry backoff schedule (the
-	// worker-reconnect schedule: attempt k waits base<<k, jittered
-	// deterministically, capped at WebhookRetryMax). Defaults 100ms / 5s.
-	WebhookRetryBase time.Duration
-	WebhookRetryMax  time.Duration
 	// FaultComputeDelay is a test-only fault hook: every computation (a
 	// /layer miss or a job picked up by a worker) sleeps this long before
 	// running the colony. The chaos harness uses it to make latency and
@@ -132,21 +128,6 @@ type Config struct {
 	// for repeat-with-edits traffic. 0 means the default (64 MiB);
 	// negative disables warm starting altogether.
 	WarmCacheBytes int64
-	// WarmToursFrac is the fraction of the requested tour budget a
-	// warm-started run gets (the warm colony resumes near the target, so
-	// it needs far fewer tours; stall-tours early stop trims the rest).
-	// 0 means the default (1/3); values are clamped to (0, 1].
-	WarmToursFrac float64
-	// WarmStallTours is the StopAfterStagnantTours value injected into
-	// warm-started runs that did not set their own, converting the
-	// reduced budget into actual early exits. 0 means the default (3);
-	// negative injects nothing.
-	WarmStallTours int
-	// WarmMinSimilarity is the vertex-name overlap ratio a cached graph
-	// must reach for the similarity probe to warm-start from it
-	// (|shared| / max(|a|, |b|)). 0 means the default (0.5); the
-	// explicit base= knob bypasses the threshold.
-	WarmMinSimilarity float64
 	// EnablePprof mounts net/http/pprof under /debug/pprof. Off by
 	// default: the profiling endpoints expose internals and cost CPU
 	// when scraped, so production daemons opt in deliberately
@@ -188,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.JobQueueDepth <= 0 {
 		c.JobQueueDepth = 64
 	}
@@ -206,12 +184,6 @@ func (c Config) withDefaults() Config {
 	if c.WebhookRetries <= 0 {
 		c.WebhookRetries = 4
 	}
-	if c.WebhookRetryBase <= 0 {
-		c.WebhookRetryBase = 100 * time.Millisecond
-	}
-	if c.WebhookRetryMax <= 0 {
-		c.WebhookRetryMax = 5 * time.Second
-	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
 	}
@@ -220,15 +192,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WarmCacheBytes == 0 {
 		c.WarmCacheBytes = 64 << 20
-	}
-	if c.WarmToursFrac <= 0 || c.WarmToursFrac > 1 {
-		c.WarmToursFrac = 1.0 / 3.0
-	}
-	if c.WarmStallTours == 0 {
-		c.WarmStallTours = 3
-	}
-	if c.WarmMinSimilarity <= 0 {
-		c.WarmMinSimilarity = 0.5
 	}
 	return c
 }
@@ -247,8 +210,9 @@ type Server struct {
 	jobs     *batch.Queue
 	webhooks *webhookManager
 	tracer   *obs.Tracer
-	sem      chan struct{}
-	mux      *http.ServeMux
+	// slots holds one token per in-process computation (MaxConcurrent).
+	slots chan struct{}
+	mux   *http.ServeMux
 	// shuttingDown flips when Serve begins graceful shutdown, so aborted
 	// in-flight requests are answered 503 rather than blamed on the client.
 	shuttingDown atomic.Bool
@@ -269,13 +233,13 @@ func New(cfg Config) *Server {
 		metrics: newServerMetrics(),
 		tracer:  obs.NewTracer(cfg.TraceRing, cfg.TraceSlowest),
 		jobs: batch.New(batch.Config{
-			Workers:     cfg.JobWorkers,
+			Workers:     cfg.MaxConcurrent,
 			Depth:       cfg.JobQueueDepth,
 			Retain:      cfg.JobRetention,
 			ExpireAfter: cfg.JobExpiry,
 			EventRing:   cfg.EventRing,
 		}),
-		sem:        make(chan struct{}, cfg.MaxConcurrent),
+		slots:      make(chan struct{}, cfg.MaxConcurrent),
 		shutdownCh: make(chan struct{}),
 	}
 	if cfg.WarmCacheBytes > 0 {
@@ -456,10 +420,9 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 // computing, wait for its result instead of running a duplicate colony.
 // A successful leader stores to the cache before releasing its flight,
 // so a new leader's re-check through the loop cannot miss a completed
-// result. acquire, when non-nil, runs after winning flight leadership
-// and before computing (the /layer compute semaphore; jobs pass nil —
-// their worker pool is the bound); it returns a release callback or
-// ctx's error.
+// result. After winning flight leadership an in-process computation
+// waits for a compute slot (takeSlot); a distributed run on a live fleet
+// skips the wait, because the cluster scheduler is its admission.
 //
 // source is "hit", "coalesced" or "miss" on success; stage names what
 // was happening when err struck, in the vocabulary deadlineError logs.
@@ -469,7 +432,7 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 // hit and tours-saved accounting — a warm "hit" is any request served
 // through a warm lineage, whether the body was computed, coalesced or
 // replayed.
-func (s *Server) computeCached(ctx context.Context, c *call, acquire func(context.Context) (func(), error)) (body []byte, source, stage string, err error) {
+func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, source, stage string, err error) {
 	key, warm := c.key, c.warm
 	if warm != nil {
 		key = warm.key
@@ -507,10 +470,11 @@ func (s *Server) computeCached(ctx context.Context, c *call, acquire func(contex
 				return nil, "", "waiting on an identical in-flight request", ctx.Err()
 			}
 		}
+		runIsland := s.islandRunner(c.req)
 		release := func() {}
-		if acquire != nil {
+		if runIsland == nil {
 			queueStart := tr.Since()
-			release, err = acquire(ctx)
+			release, err = s.takeSlot(ctx)
 			tr.Observe("queue_wait", "", 0, queueStart, tr.Since()-queueStart)
 			if err != nil {
 				s.flights.finish(key, fl, nil, err)
@@ -531,7 +495,7 @@ func (s *Server) computeCached(ctx context.Context, c *call, acquire func(contex
 			}
 		}
 		computeStart := tr.Since()
-		body, toursRun, state, err := Compute(ctx, c.req, c.g, c.names, s.islandRunner(c.req))
+		body, toursRun, state, err := Compute(ctx, c.req, c.g, c.names, runIsland)
 		tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)
 		s.metrics.toursRun.Add(int64(toursRun))
 		s.metrics.inFlight.Add(-1)
@@ -578,7 +542,8 @@ func (s *Server) computeCached(ctx context.Context, c *call, acquire func(contex
 // — and the fallback is counted so operators notice a fleet that never
 // fills. A full admission queue (shard.ErrRunQueueFull) does NOT fall
 // back: the cluster is saturated, so shedding the request with 429 +
-// Retry-After beats piling the work onto the coordinator's own CPU.
+// Retry-After beats piling the work onto the coordinator's own CPU. A
+// fallback run computes locally, so it takes a compute slot first.
 func (s *Server) islandRunner(req Request) IslandRunner {
 	if !req.Distributed || s.cfg.Coordinator == nil {
 		return nil
@@ -595,6 +560,11 @@ func (s *Server) islandRunner(req Request) IslandRunner {
 			s.metrics.distFallbacks.Add(1)
 			s.log().Warn("worker fleet drained mid-request; running in-process",
 				"trace", obs.FromContext(ctx).ID())
+			release, err := s.takeSlot(ctx)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
 			return antlayer.IslandColonyRunContext(ctx, g, p)
 		}
 		if err == nil {
@@ -604,21 +574,23 @@ func (s *Server) islandRunner(req Request) IslandRunner {
 	}
 }
 
-// acquireSem is the /layer compute bound: the semaphore caps computation,
-// not connections — a queued request costs one blocked goroutine and
-// still honours its deadline.
-func (s *Server) acquireSem(ctx context.Context) (func(), error) {
+// takeSlot waits for one of the MaxConcurrent compute slots, the single
+// bound on in-process colonies: it caps computation, not connections — a
+// waiting request costs one blocked goroutine and still honours its
+// deadline. It returns the slot's release callback or ctx's error.
+func (s *Server) takeSlot(ctx context.Context) (func(), error) {
 	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
+	case s.slots <- struct{}{}:
+		return func() { <-s.slots }, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
 // handleLayer is the daemon's synchronous endpoint: parse, then serve
-// through the shared cache/single-flight/compute engine under the
-// semaphore and the request deadline.
+// through the shared cache/single-flight/compute engine under the request
+// deadline. A /layer request waits for a compute slot until its deadline
+// and is never refused 429 for want of one.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -653,7 +625,7 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(obs.NewContext(r.Context(), tr), c.timeout)
 	defer cancel()
 
-	body, source, stage, err := s.computeCached(ctx, c, s.acquireSem)
+	body, source, stage, err := s.computeCached(ctx, c)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadlineError(w, r, err, stage)

@@ -33,9 +33,15 @@ func bigEdgeList(n int) string {
 	return b.String()
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer starts a Server on a loopback listener. Each tweak runs
+// on the Server before it serves its first request, which is how tests
+// reach the unexported test seams.
+func newTestServer(t *testing.T, cfg Config, tweaks ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	for _, tweak := range tweaks {
+		tweak(s)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	// httptest.Close stops the listener but not the job-queue workers
@@ -203,6 +209,8 @@ func TestLayerDeadlineReturns504AndLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestLayerConcurrentUnderSemaphore: eight /layer requests on a daemon
+// with one compute slot all wait their turn and succeed.
 func TestLayerConcurrentUnderSemaphore(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	var wg sync.WaitGroup
@@ -231,6 +239,51 @@ func TestLayerConcurrentUnderSemaphore(t *testing.T) {
 	}
 	if m := s.Metrics(); m.LayerRequests != 8 {
 		t.Fatalf("layer_requests = %d, want 8", m.LayerRequests)
+	}
+}
+
+// TestSlotPoolSharedByLayerAndJobs: /layer and /jobs draw on one pool of
+// compute slots, so with MaxConcurrent 1 a /layer miss and a job
+// submitted together take turns — the in-flight gauge never reads 2.
+func TestSlotPoolSharedByLayerAndJobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultComputeDelay: 150 * time.Millisecond})
+	var peak int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak = max(peak, s.metrics.inFlight.Load())
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+
+	layerCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/layer?seed=1&tours=2", "text/plain", strings.NewReader(demoDOT))
+		if err != nil {
+			t.Error(err)
+			layerCode <- 0
+			return
+		}
+		resp.Body.Close()
+		layerCode <- resp.StatusCode
+	}()
+	_, status := postJob(t, ts, "seed=2&tours=2", demoDOT)
+	final, view := pollUntilTerminal(t, ts, status.ID)
+	if code := <-layerCode; code != http.StatusOK {
+		t.Errorf("/layer answered %d", code)
+	}
+	close(stop)
+	<-sampled
+	if got := final.Header.Get("X-Job-State"); got != "done" {
+		t.Fatalf("job %s: %s (%s)", status.ID, got, view.raw)
+	}
+	if peak != 1 {
+		t.Errorf("in_flight peaked at %d, want 1 (one compute slot)", peak)
 	}
 }
 

@@ -10,6 +10,18 @@ import (
 	"antlayer/internal/core"
 )
 
+// Warm-start tuning. A warm-started run gets warmToursFrac of the cold
+// tour budget (the colony resumes near the target, so it needs far fewer
+// tours), warm runs that set no stall-tours early stop get
+// warmStallTours, which turns the reduced budget into actual early exits,
+// and the similarity probe needs a vertex-name overlap of
+// warmMinSimilarity (|shared| / max(|a|, |b|)); base= bypasses the probe.
+const (
+	warmToursFrac     = 1.0 / 3.0
+	warmStallTours    = 3
+	warmMinSimilarity = 0.5
+)
+
 // warmCache is the daemon's second cache: where resultCache holds
 // finished bodies keyed by the full (graph, params) hash, warmCache
 // holds colony States keyed by the canonical graph hash alone (see
@@ -18,7 +30,7 @@ import (
 // one. Near-misses are found by a cheap similarity probe over vertex
 // names: an inverted name→entry index counts how many vertex names the
 // request shares with each cached graph, and the best entry wins when
-// the overlap ratio clears the configured threshold. Clients that know
+// the overlap ratio clears warmMinSimilarity. Clients that know
 // their lineage skip the probe with the base= knob.
 //
 // Eviction is byte-weighted LRU against the configured budget (a
@@ -229,7 +241,7 @@ type warmRun struct {
 // state export, so cold computes feed the warm cache, and sets c.probed.
 // When a usable base state exists — named by base=, or found by the
 // similarity probe — it is remapped onto the request's graph by vertex
-// name and injected as ACO.Warm, the tour budget is cut to WarmToursFrac
+// name and injected as ACO.Warm, the tour budget is cut to warmToursFrac
 // of the cold budget, and the stall-tours early stop is armed (unless the
 // request set its own); c.warm then carries a result-cache key extended
 // by the lineage (base key + generation), so warm bodies never collide
@@ -256,7 +268,7 @@ func (s *Server) warmPlan(c *call) {
 	if req.Base != "" {
 		entry, _ = s.warm.get(req.Base)
 	} else {
-		entry, sim = s.warm.probe(c.names, s.cfg.WarmMinSimilarity)
+		entry, sim = s.warm.probe(c.names, warmMinSimilarity)
 	}
 	if entry == nil {
 		// Eligible, probed, nothing usable: a warm miss — the cold run
@@ -271,15 +283,15 @@ func (s *Server) warmPlan(c *call) {
 	if req.Algo == "island" {
 		islands = req.options().IslandOf().Islands
 	}
-	warmTours := int(math.Ceil(float64(req.ACO.Tours) * s.cfg.WarmToursFrac))
+	warmTours := int(math.Ceil(float64(req.ACO.Tours) * warmToursFrac))
 	if warmTours < 1 {
 		warmTours = 1
 	}
 	if warmTours < req.ACO.Tours {
 		req.ACO.Tours = warmTours
 	}
-	if req.ACO.StopAfterStagnantTours == 0 && s.cfg.WarmStallTours > 0 {
-		req.ACO.StopAfterStagnantTours = s.cfg.WarmStallTours
+	if req.ACO.StopAfterStagnantTours == 0 {
+		req.ACO.StopAfterStagnantTours = warmStallTours
 	}
 	c.warm = &warmRun{
 		key:        c.key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10),

@@ -20,6 +20,12 @@ const editedDOT = `digraph g {
 	e -> f;
 }`
 
+// distantDOT shares one vertex name (a) with demoDOT: an overlap of 1/5,
+// below the similarity probe's threshold.
+const distantDOT = `digraph g {
+	a -> x; x -> y; y -> z;
+}`
+
 // unrelatedDOT shares no vertex names with demoDOT.
 const unrelatedDOT = `digraph g {
 	x -> y; y -> z;
@@ -124,17 +130,17 @@ func TestWarmDisabledAndOptOuts(t *testing.T) {
 // TestWarmBaseKnob: base=<graph key> pins the lineage exactly, bypassing
 // the similarity probe — even for a graph the probe would not match.
 func TestWarmBaseKnob(t *testing.T) {
-	_, ts := newTestServer(t, Config{WarmMinSimilarity: 0.99})
+	_, ts := newTestServer(t, Config{})
 	resp1, _ := postLayer(t, ts, "algo=aco&tours=9&seed=1", demoDOT)
 	baseKey := resp1.Header.Get("X-Graph-Key")
 
-	// At threshold 0.99 the probe rejects the edited graph...
-	resp2, _ := postLayer(t, ts, "algo=aco&tours=9&seed=1", editedDOT)
+	// The probe rejects the distant graph...
+	resp2, _ := postLayer(t, ts, "algo=aco&tours=9&seed=1", distantDOT)
 	if got := resp2.Header.Get("X-Warm"); got != "miss" {
-		t.Fatalf("probe at 0.99 X-Warm = %q, want miss", got)
+		t.Fatalf("probe on a distant graph X-Warm = %q, want miss", got)
 	}
 	// ...but naming the lineage explicitly warm-starts anyway.
-	resp3, _ := postLayer(t, ts, "algo=aco&tours=9&seed=2&base="+baseKey, editedDOT)
+	resp3, _ := postLayer(t, ts, "algo=aco&tours=9&seed=2&base="+baseKey, distantDOT)
 	if got := resp3.Header.Get("X-Warm"); got != "hit" {
 		t.Errorf("base= request X-Warm = %q, want hit", got)
 	}

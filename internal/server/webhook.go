@@ -89,6 +89,11 @@ type webhookManager struct {
 	client *http.Client
 	done   chan struct{}
 	wg     sync.WaitGroup
+	// retryBase and retryMax shape the retry backoff (retry.Backoff:
+	// attempt k waits base<<k, jittered deterministically, capped at max).
+	// Tests shorten them before the server starts; nothing else writes
+	// them.
+	retryBase, retryMax time.Duration
 
 	mu     sync.Mutex
 	subs   map[string]*webhookSub
@@ -101,10 +106,12 @@ type webhookManager struct {
 
 func newWebhookManager(s *Server) *webhookManager {
 	return &webhookManager{
-		s:      s,
-		client: &http.Client{Timeout: 10 * time.Second},
-		done:   make(chan struct{}),
-		subs:   make(map[string]*webhookSub),
+		s:         s,
+		client:    &http.Client{Timeout: 10 * time.Second},
+		done:      make(chan struct{}),
+		retryBase: 100 * time.Millisecond,
+		retryMax:  5 * time.Second,
+		subs:      make(map[string]*webhookSub),
 	}
 }
 
@@ -232,13 +239,13 @@ func (m *webhookManager) deliver(ws *webhookSub, ev batch.Event) {
 		m.failed.Add(1)
 		return
 	}
-	cfg := m.s.cfg
-	for attempt := 0; attempt < cfg.WebhookRetries; attempt++ {
+	attempts := m.s.cfg.WebhookRetries
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			ws.retries.Add(1)
 			m.retries.Add(1)
 			select {
-			case <-time.After(retry.Backoff(cfg.WebhookRetryBase, cfg.WebhookRetryMax, attempt-1)):
+			case <-time.After(retry.Backoff(m.retryBase, m.retryMax, attempt-1)):
 			case <-m.done:
 				ws.failed.Add(1)
 				m.failed.Add(1)
@@ -254,7 +261,7 @@ func (m *webhookManager) deliver(ws *webhookSub, ev batch.Event) {
 	ws.failed.Add(1)
 	m.failed.Add(1)
 	m.s.log().Warn("webhook delivery abandoned",
-		"subscription", ws.id, "seq", ev.Seq, "attempts", cfg.WebhookRetries)
+		"subscription", ws.id, "seq", ev.Seq, "attempts", attempts)
 }
 
 // attemptPost performs one delivery attempt; any 2xx answer counts.

@@ -66,6 +66,11 @@ func subscribeWebhook(t *testing.T, ts *httptest.Server, target, topic, job stri
 	return info.ID
 }
 
+// fastWebhookRetry shortens the webhook retry backoff to base/max.
+func fastWebhookRetry(base, max time.Duration) func(*Server) {
+	return func(s *Server) { s.webhooks.retryBase, s.webhooks.retryMax = base, max }
+}
+
 // TestWebhookDelivery: a registered webhook receives every transition of
 // a matching job as JSON POSTs, in order; the listing reports delivery
 // stats; DELETE stops the flow.
@@ -73,7 +78,7 @@ func TestWebhookDelivery(t *testing.T) {
 	wr := &webhookReceiver{}
 	target := httptest.NewServer(wr.handler())
 	defer target.Close()
-	_, ts := newTestServer(t, Config{WebhookRetryBase: time.Millisecond})
+	_, ts := newTestServer(t, Config{}, fastWebhookRetry(time.Millisecond, 5*time.Second))
 
 	id := subscribeWebhook(t, ts, target.URL, "hooked", "")
 	_, status := postJob(t, ts, "seed=11&tours=2&label=hooked", demoDOT)
@@ -140,11 +145,7 @@ func TestWebhookRetrySchedule(t *testing.T) {
 	wr := &webhookReceiver{failFirst: 2}
 	target := httptest.NewServer(wr.handler())
 	defer target.Close()
-	_, ts := newTestServer(t, Config{
-		WebhookRetryBase: time.Millisecond,
-		WebhookRetryMax:  5 * time.Millisecond,
-		WebhookRetries:   4,
-	})
+	_, ts := newTestServer(t, Config{WebhookRetries: 4}, fastWebhookRetry(time.Millisecond, 5*time.Millisecond))
 	subscribeWebhook(t, ts, target.URL, "", "")
 	_, status := postJob(t, ts, "seed=13&tours=2", demoDOT)
 	pollUntilTerminal(t, ts, status.ID)
@@ -170,11 +171,7 @@ func TestWebhookGivesUpAndCounts(t *testing.T) {
 		http.Error(w, "always down", http.StatusBadGateway)
 	}))
 	defer dead.Close()
-	_, ts := newTestServer(t, Config{
-		WebhookRetryBase: time.Millisecond,
-		WebhookRetryMax:  2 * time.Millisecond,
-		WebhookRetries:   2,
-	})
+	_, ts := newTestServer(t, Config{WebhookRetries: 2}, fastWebhookRetry(time.Millisecond, 2*time.Millisecond))
 	subscribeWebhook(t, ts, dead.URL, "", "")
 	_, status := postJob(t, ts, "seed=14&tours=2", demoDOT)
 	pollUntilTerminal(t, ts, status.ID)

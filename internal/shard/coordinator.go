@@ -49,9 +49,6 @@ type CoordinatorConfig struct {
 	// ErrRunQueueFull. 0 means the default (16); negative disables
 	// waiting entirely (dispatch immediately or reject).
 	QueueDepth int
-	// MaxConcurrentRuns caps how many runs may hold leases at once, on
-	// top of the natural limit of idle workers. 0 means no extra cap.
-	MaxConcurrentRuns int
 	// Secret, when non-empty, requires every registering worker to
 	// present the same shared secret in its hello frame. A mismatch is
 	// a clean rejection (error frame + close), never an expel.

@@ -186,9 +186,6 @@ func (c *Coordinator) dispatchLocked() {
 			c.settleRunLocked(r, runOutcome{err: fmt.Errorf("shard: run cancelled while queued: %w", r.ctx.Err())})
 			continue
 		}
-		if c.cfg.MaxConcurrentRuns > 0 && c.running >= c.cfg.MaxConcurrentRuns {
-			return
-		}
 		need := r.p.Islands
 		if n := len(c.workers); need > n {
 			need = n
@@ -347,9 +344,5 @@ func (c *Coordinator) RetryAfterSeconds() int {
 	if c.runsDone > 0 {
 		mean = c.runDurTotal / time.Duration(c.runsDone)
 	}
-	slots := len(c.workers)
-	if c.cfg.MaxConcurrentRuns > 0 && slots > c.cfg.MaxConcurrentRuns {
-		slots = c.cfg.MaxConcurrentRuns
-	}
-	return retry.AfterSeconds(len(c.queue)+c.running, slots, mean)
+	return retry.AfterSeconds(len(c.queue)+c.running, len(c.workers), mean)
 }

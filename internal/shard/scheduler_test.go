@@ -170,10 +170,7 @@ func waitMetrics(t *testing.T, c *Coordinator, what string, cond func(ClusterMet
 // overflow run is rejected with ErrRunQueueFull while the admitted runs
 // still complete correctly.
 func TestRunQueueFullRejected(t *testing.T) {
-	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{
-		MaxConcurrentRuns: 1,
-		QueueDepth:        1,
-	})
+	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{QueueDepth: 1})
 	defer cancel()
 	startWorker(ctx, addr, WorkerConfig{
 		Name:  "slow",
