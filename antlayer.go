@@ -66,20 +66,6 @@ type IslandParams = island.Params
 // colony result plus per-island statistics.
 type IslandResult = island.Result
 
-// IslandMigrator is the island model's migration seam: it owns the epoch
-// barrier and the elite exchange of an archipelago run. The default (a
-// nil IslandParams.Migrator) is the in-process elite ring; the daemon's
-// shard transport implements the same interface over a network so the
-// archipelago spans processes, and tests inject fakes here. Whatever the
-// transport, the layering produced is the same bitwise-deterministic
-// function of (graph, IslandParams).
-type IslandMigrator = island.Migrator
-
-// IslandElite is one island's contribution to a migration barrier: its
-// best stretched-space assignment so far and the objective that earned
-// it.
-type IslandElite = island.Elite
-
 // MinWidthParams configures a single MinWidth run.
 type MinWidthParams = minwidth.Params
 
@@ -184,10 +170,6 @@ type Options struct {
 	// MigrationInterval is the tours between elite migrations of
 	// "island". 0 means the DefaultIslandParams interval.
 	MigrationInterval int
-	// Migrator, when non-nil, replaces the in-process elite ring of
-	// "island" — the pluggable-transport seam (see IslandMigrator). It
-	// never changes the layering produced, only where the islands run.
-	Migrator IslandMigrator
 }
 
 // IslandOf assembles the island parameters the "island" algorithm runs
@@ -202,7 +184,6 @@ func (o Options) IslandOf() IslandParams {
 	if o.MigrationInterval > 0 {
 		p.MigrationInterval = o.MigrationInterval
 	}
-	p.Migrator = o.Migrator
 	return p
 }
 
@@ -236,56 +217,35 @@ func LayererByName(ctx context.Context, name string, opts Options) (Layerer, err
 	return nil, fmt.Errorf("antlayer: unknown algorithm %q (want aco|island|lpl|minwidth|cg|ns)", name)
 }
 
-// AntColony returns the paper's ACO layering algorithm. The run cannot be
-// cancelled; use AntColonyContext to bound it by a context.
-func AntColony(p ACOParams) Layerer {
-	return AntColonyContext(context.Background(), p)
-}
-
 // AntColonyContext returns the paper's ACO layering algorithm with every
 // run bounded by ctx: when ctx is cancelled or its deadline expires the
 // colony stops within one ant walk per worker and Layer returns an error
 // wrapping ctx.Err(). A run that completes is unaffected by the context —
 // the layering is the same bitwise-deterministic function of the
-// parameters that AntColony computes.
+// parameters. Pass context.Background() for a run that cannot be
+// cancelled.
 func AntColonyContext(ctx context.Context, p ACOParams) Layerer {
 	return layererFunc(func(g *Graph) (*Layering, error) { return core.Layer(ctx, g, p) })
 }
 
-// AntColonyRun runs the colony and returns the full result including the
-// objective value and per-tour convergence history.
-func AntColonyRun(g *Graph, p ACOParams) (*ACOResult, error) {
-	return AntColonyRunContext(context.Background(), g, p)
-}
-
-// AntColonyRunContext is AntColonyRun bounded by ctx; see AntColonyContext
-// for the cancellation semantics.
+// AntColonyRunContext runs the colony under ctx and returns the full
+// result including the objective value and per-tour convergence history;
+// see AntColonyContext for the cancellation semantics.
 func AntColonyRunContext(ctx context.Context, g *Graph, p ACOParams) (*ACOResult, error) {
 	return core.Run(ctx, g, p)
 }
 
-// IslandColony returns the island-model multi-colony layering algorithm:
-// p.Islands cooperating colonies with elite ring migration every
-// p.MigrationInterval tours (see IslandParams). The run cannot be
-// cancelled; use IslandColonyContext to bound it by a context.
-func IslandColony(p IslandParams) Layerer {
-	return IslandColonyContext(context.Background(), p)
-}
-
-// IslandColonyContext is IslandColony with every run bounded by ctx; the
-// cancellation semantics are those of AntColonyContext, applied to every
-// island.
+// IslandColonyContext returns the island-model multi-colony layering
+// algorithm: p.Islands cooperating colonies with elite ring migration
+// every p.MigrationInterval tours (see IslandParams), every run bounded
+// by ctx with the cancellation semantics of AntColonyContext applied to
+// every island.
 func IslandColonyContext(ctx context.Context, p IslandParams) Layerer {
 	return layererFunc(func(g *Graph) (*Layering, error) { return island.Layer(ctx, g, p) })
 }
 
-// IslandColonyRun runs the archipelago and returns the full result
-// including the winning island and per-island statistics.
-func IslandColonyRun(g *Graph, p IslandParams) (*IslandResult, error) {
-	return IslandColonyRunContext(context.Background(), g, p)
-}
-
-// IslandColonyRunContext is IslandColonyRun bounded by ctx.
+// IslandColonyRunContext runs the archipelago under ctx and returns the
+// full result including the winning island and per-island statistics.
 func IslandColonyRunContext(ctx context.Context, g *Graph, p IslandParams) (*IslandResult, error) {
 	return island.Run(ctx, g, p)
 }

@@ -3,13 +3,11 @@ package antlayer
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"antlayer/internal/graphgen"
-	"antlayer/internal/island"
 )
 
 // buildDemo constructs the quickstart dependency DAG.
@@ -34,8 +32,8 @@ func TestAllLayerersProduceValidLayerings(t *testing.T) {
 		"minwidth":     MinWidth(MinWidthParams{UBW: 2, C: 2, DummyWidth: 1}),
 		"minwidthbest": MinWidthBest(1),
 		"cg":           CoffmanGraham(3),
-		"aco":          AntColony(DefaultACOParams()),
-		"aco+pl":       WithPromotion(AntColony(DefaultACOParams())),
+		"aco":          AntColonyContext(context.Background(), DefaultACOParams()),
+		"aco+pl":       WithPromotion(AntColonyContext(context.Background(), DefaultACOParams())),
 	}
 	for i := 0; i < 5; i++ {
 		g, err := graphgen.Generate(graphgen.DefaultConfig(10+10*i), rng)
@@ -58,7 +56,7 @@ func TestAntColonyRunHistory(t *testing.T) {
 	g := buildDemo(t)
 	p := DefaultACOParams()
 	p.Tours = 5
-	res, err := AntColonyRun(g, p)
+	res, err := AntColonyRunContext(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +132,7 @@ func TestEndToEndMetricsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aco, err := AntColony(DefaultACOParams()).Layer(g)
+	aco, err := AntColonyContext(context.Background(), DefaultACOParams()).Layer(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,48 +144,4 @@ func TestEndToEndMetricsShape(t *testing.T) {
 	if float64(am.Height)+am.WidthIncl > float64(lm.Height)+lm.WidthIncl {
 		t.Fatal("ACO H+W worse than LPL")
 	}
-}
-
-// TestOptionsMigratorSeam pins the public pluggable-transport knob: a
-// custom IslandMigrator wrapping the default ring plugs in through
-// Options and changes nothing about the layering.
-func TestOptionsMigratorSeam(t *testing.T) {
-	g := buildDemo(t)
-	ctx := context.Background()
-	opts := Options{ACO: DefaultACOParams(), Islands: 2, MigrationInterval: 1}
-	base, err := LayererByName(ctx, "island", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := base.Layer(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ring := island.NewRing(2)
-	calls := 0
-	opts.Migrator = migratorFunc(func(ctx context.Context, epoch int, local []IslandElite) ([]IslandElite, bool, error) {
-		calls++
-		return ring.Exchange(ctx, epoch, local)
-	})
-	custom, err := LayererByName(ctx, "island", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := custom.Layer(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("custom migrator never consulted")
-	}
-	if fmt.Sprint(got.Layers()) != fmt.Sprint(want.Layers()) {
-		t.Errorf("custom migrator changed the layering: %v vs %v", got.Layers(), want.Layers())
-	}
-}
-
-type migratorFunc func(ctx context.Context, epoch int, local []IslandElite) ([]IslandElite, bool, error)
-
-func (f migratorFunc) Exchange(ctx context.Context, epoch int, local []IslandElite) ([]IslandElite, bool, error) {
-	return f(ctx, epoch, local)
 }

@@ -11,6 +11,7 @@ package antlayer
 // and micro-benchmarks cover the individual algorithms per graph size.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -121,7 +122,7 @@ func BenchmarkFig8RunningTime(b *testing.B) {
 			// cost against LPL; BenchmarkAntColonyWorkers* covers the pool.
 			p := DefaultACOParams()
 			p.Workers = 1
-			l := AntColony(p)
+			l := AntColonyContext(context.Background(), p)
 			for i := 0; i < b.N; i++ {
 				if _, err := l.Layer(g); err != nil {
 					b.Fatal(err)
@@ -309,7 +310,7 @@ func benchmarkAntColonyWorkers(b *testing.B, workers int) {
 	p.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AntColonyRun(g, p); err != nil {
+		if _, err := AntColonyRunContext(context.Background(), g, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,7 +340,7 @@ func BenchmarkIsland(b *testing.B) {
 	p.MigrationInterval = 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IslandColonyRun(g, p); err != nil {
+		if _, err := IslandColonyRunContext(context.Background(), g, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,7 +360,7 @@ func BenchmarkColonyScaling(b *testing.B) {
 				p := DefaultACOParams()
 				p.Workers = workers
 				for i := 0; i < b.N; i++ {
-					if _, err := AntColonyRun(g, p); err != nil {
+					if _, err := AntColonyRunContext(context.Background(), g, p); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -384,7 +385,7 @@ func BenchmarkAntWalk(b *testing.B) {
 			p.Ants = 1
 			p.Tours = 1
 			for i := 0; i < b.N; i++ {
-				if _, err := AntColonyRun(g, p); err != nil {
+				if _, err := AntColonyRunContext(context.Background(), g, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -435,7 +436,7 @@ func BenchmarkSugiyamaPipeline(b *testing.B) {
 	})
 	b.Run("aco", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Draw(g, AntColony(DefaultACOParams()), nil); err != nil {
+			if _, err := Draw(g, AntColonyContext(context.Background(), DefaultACOParams()), nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,7 +9,7 @@
 //
 //   - the paper's contribution: an Ant Colony Optimization layering that
 //     minimises height plus width while accounting for the width
-//     contributed by dummy vertices (AntColony, ACOParams);
+//     contributed by dummy vertices (AntColonyContext, ACOParams);
 //   - the baselines it is evaluated against: Longest-Path Layering
 //     (LongestPath), the MinWidth heuristic (MinWidth, MinWidthBest), the
 //     Promote Layering post-processing step (WithPromotion) and
@@ -28,7 +28,7 @@
 //	g.MustAddEdge(2, 0)
 //	g.MustAddEdge(1, 0)
 //
-//	l, err := antlayer.AntColony(antlayer.DefaultACOParams()).Layer(g)
+//	l, err := antlayer.AntColonyContext(context.Background(), antlayer.DefaultACOParams()).Layer(g)
 //	if err != nil { ... }
 //	fmt.Println(l.Height(), l.WidthIncludingDummies(1.0))
 //
@@ -41,20 +41,13 @@
 // tours, never during one. See README.md ("Parallelism") for the full
 // guarantee.
 //
-// Above the per-tour pool, IslandColony runs an island model: K colonies
-// searching concurrently from independent derived seeds, migrating each
-// island's elite layering around a ring as a pheromone deposit every few
-// tours (IslandParams). Given an equal total tour budget the archipelago
-// matches or improves the single colony's cost, and the determinism
-// guarantee carries over unchanged; see README.md ("The island model")
-// and DESIGN.md §8.
-//
-// The ring itself is pluggable: IslandParams.Migrator (an IslandMigrator)
-// owns the migration barrier and the elite exchange, and the daemon's
-// shard transport implements it over a network so the archipelago spans
-// worker processes — byte-identical to the in-process run at any worker
-// count and partition (`daglayer serve -coordinator` plus `daglayer
-// worker`; see README.md "Cluster" and DESIGN.md §10).
+// Above the per-tour pool, IslandColonyContext runs an island model: K
+// colonies searching concurrently from independent derived seeds,
+// migrating each island's elite layering around a ring as a pheromone
+// deposit every few tours (IslandParams). Given an equal total tour
+// budget the archipelago matches or improves the single colony's cost,
+// and the determinism guarantee carries over unchanged; see README.md
+// ("The island model") and DESIGN.md §8.
 //
 // # Cancellation and serving
 //

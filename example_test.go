@@ -1,6 +1,7 @@
 package antlayer_test
 
 import (
+	"context"
 	"fmt"
 
 	"antlayer"
@@ -29,9 +30,9 @@ func ExampleLongestPath() {
 	// layer of source: 3
 }
 
-func ExampleAntColony() {
+func ExampleAntColonyContext() {
 	p := antlayer.DefaultACOParams() // 10 tours, alpha=1, beta=3
-	l, err := antlayer.AntColony(p).Layer(diamond())
+	l, err := antlayer.AntColonyContext(context.Background(), p).Layer(diamond())
 	if err != nil {
 		panic(err)
 	}

@@ -46,12 +46,12 @@ type Migrator interface {
 	Exchange(ctx context.Context, epoch int, local []Elite) (incoming []Elite, cont bool, err error)
 }
 
-// Ring is the in-process Migrator: the classic unidirectional elite ring
-// over all K islands of the archipelago. Island i's elite emigrates to
-// island (i+1) mod K; a single-island ring exchanges nothing (an island
-// never deposits its own elite onto itself). Exchange is pure computation
-// — the epoch barrier is the Engine's WaitGroup, which has already fired
-// by the time Exchange runs.
+// Ring is the classic unidirectional elite ring over all K islands of the
+// archipelago: island i's elite emigrates to island (i+1) mod K; a
+// single-island ring exchanges nothing (an island never deposits its own
+// elite onto itself). Exchange is pure computation — the epoch barrier
+// has already fired by the time it runs: the Engine's WaitGroup in
+// process, the shard coordinator's barrier across processes.
 type Ring struct {
 	k int
 }

@@ -19,38 +19,21 @@ func (f migratorFunc) Exchange(ctx context.Context, epoch int, local []Elite) ([
 	return f(ctx, epoch, local)
 }
 
-// TestExplicitRingMatchesDefault pins that Params.Migrator is a true
-// seam: injecting the ring explicitly changes nothing.
-func TestExplicitRingMatchesDefault(t *testing.T) {
-	g := testGraph(t, 50, 21)
-	p := DefaultParams()
-	p.Colony.Tours = 6
-	p.Colony.Seed = 5
-
-	want, err := Run(context.Background(), g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Migrator = NewRing(p.Islands)
-	got, err := Run(context.Background(), g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(got) != fingerprint(want) {
-		t.Errorf("explicit ring diverged:\n got %s\nwant %s", fingerprint(got), fingerprint(want))
-	}
-}
-
-// TestRecordingMigratorSeesFullRing drives a run through a wrapping
-// migrator and checks the contract: sequential epochs, one elite per
-// island in ring order every epoch, done islands still emitting.
+// TestRecordingMigratorSeesFullRing drives an all-island engine through
+// a migrator wrapping the ring and checks the contract: sequential
+// epochs, one elite per island in ring order every epoch, done islands
+// still emitting.
 func TestRecordingMigratorSeesFullRing(t *testing.T) {
 	g := testGraph(t, 40, 9)
 	p := DefaultParams()
 	p.Colony.Tours = 6
+	e, err := NewEngine(g, p, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ring := NewRing(p.Islands)
 	epochs := 0
-	p.Migrator = migratorFunc(func(ctx context.Context, epoch int, local []Elite) ([]Elite, bool, error) {
+	migrations, err := Drive(context.Background(), e, migratorFunc(func(ctx context.Context, epoch int, local []Elite) ([]Elite, bool, error) {
 		epochs++
 		if epoch != epochs {
 			t.Errorf("epoch %d delivered out of order (want %d)", epoch, epochs)
@@ -67,8 +50,7 @@ func TestRecordingMigratorSeesFullRing(t *testing.T) {
 			}
 		}
 		return ring.Exchange(ctx, epoch, local)
-	})
-	res, err := Run(context.Background(), g, p)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +59,8 @@ func TestRecordingMigratorSeesFullRing(t *testing.T) {
 	if epochs != 3 {
 		t.Errorf("migrator saw %d epochs, want 3", epochs)
 	}
-	if res.Migrations != 2 {
-		t.Errorf("migrations = %d, want 2", res.Migrations)
+	if migrations != 2 {
+		t.Errorf("migrations = %d, want 2", migrations)
 	}
 }
 

@@ -18,10 +18,11 @@
 //     tour slices, emits their elites at each barrier, absorbs foreign
 //     elites, and finalizes per-island Reports. It never knows the ring
 //     topology or where the other islands live.
-//   - Migrator owns the barrier and the elite exchange. Ring is the
-//     in-process implementation; internal/shard implements the same
-//     interface over a network so the archipelago spans processes, with
-//     a coordinator playing the ring and one Engine per worker process.
+//   - Migrator owns the barrier and the elite exchange. Ring is the elite
+//     ring itself, which Run drives in process; internal/shard lifts the
+//     exchange over a network so the archipelago spans processes — each
+//     worker process drives one Engine against a network Migrator, and
+//     the coordinator turns the same Ring over the elites they report.
 //
 // Determinism: the run is a pure function of (graph, Params). Island i's
 // colony seed is core.SubSeed(Seed, i); every epoch is a barrier (all
@@ -66,14 +67,6 @@ type Params struct {
 	// migration barriers (>= 1). An interval at or above Colony.Tours
 	// means the islands never exchange anything — independent restarts.
 	MigrationInterval int
-	// Migrator, when non-nil, replaces the in-process ring: Run drives
-	// all Islands locally but routes every epoch's elite exchange through
-	// it. This is the pluggable-transport seam — tests inject fakes here,
-	// and custom topologies (or transports) plug in without touching the
-	// engine. Leave nil for the default Ring. The field is excluded from
-	// serialization: a transport is process-local wiring, not a search
-	// parameter, and it never influences the layering produced.
-	Migrator Migrator `json:"-"`
 }
 
 // DefaultParams returns the paper's colony defaults wrapped in a 4-island
@@ -128,9 +121,9 @@ type Result struct {
 
 // Run executes an island-model search over g under ctx and returns the
 // best layering found by any island: an Engine over all p.Islands
-// islands, driven against p.Migrator (default: the in-process Ring).
-// Cancellation follows core.Colony.RunContext: the first cancelled island
-// aborts the whole run with an error wrapping ctx.Err().
+// islands, driven against the in-process Ring. Cancellation follows
+// core.Colony.RunContext: the first cancelled island aborts the whole
+// run with an error wrapping ctx.Err().
 func Run(ctx context.Context, g *dag.Graph, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -143,11 +136,7 @@ func Run(ctx context.Context, g *dag.Graph, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := p.Migrator
-	if m == nil {
-		m = NewRing(p.Islands)
-	}
-	migrations, err := Drive(ctx, e, m)
+	migrations, err := Drive(ctx, e, NewRing(p.Islands))
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -73,7 +72,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log().Info("job submitted",
 		"job", job.ID(), "trace", tr.ID(), "warm", c.warm != nil, "n", c.g.N(), "m", c.g.M(), "algo", c.req.Algo)
-	s.writeJobStatus(w, http.StatusAccepted, jobStatus{
+	writeJSON(w, http.StatusAccepted, jobStatus{
 		ID:      job.ID(),
 		State:   string(batch.StateQueued),
 		TraceID: tr.ID(),
@@ -134,10 +133,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		}
 		list.Jobs = append(list.Jobs, entry)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(list)
+	writeJSON(w, http.StatusOK, list)
 }
 
 // handleJob serves GET (poll) and DELETE (cancel) on /jobs/{id}.
@@ -184,7 +180,7 @@ func (s *Server) writeJobSnapshot(w http.ResponseWriter, snap batch.Snapshot) {
 	if snap.State == batch.StateFailed {
 		status.Error = jobFailureReason(snap)
 	}
-	s.writeJobStatus(w, http.StatusOK, status)
+	writeJSON(w, http.StatusOK, status)
 }
 
 // jobFailureReason renders a failed job's error, labelling cancellations
@@ -203,12 +199,4 @@ func jobFailureReason(snap batch.Snapshot) string {
 	default:
 		return snap.Err.Error()
 	}
-}
-
-func (s *Server) writeJobStatus(w http.ResponseWriter, code int, status jobStatus) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(status)
 }

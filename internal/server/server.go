@@ -33,7 +33,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -367,19 +366,13 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(healthzResponse{Status: "ok", Build: buildinfo.Get()})
+	writeJSON(w, http.StatusOK, healthzResponse{Status: "ok", Build: buildinfo.Get()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Metrics())
+		writeJSON(w, http.StatusOK, s.Metrics())
 	case "prometheus":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = writeProm(w, s.Metrics())
@@ -396,10 +389,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "this daemon is not a coordinator (start it with -coordinator)")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.cfg.Coordinator.Metrics())
+	writeJSON(w, http.StatusOK, s.cfg.Coordinator.Metrics())
 }
 
 // httpError answers status with a plain-text message and counts it.

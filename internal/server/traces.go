@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -44,10 +43,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if views == nil {
 		views = []obs.TraceView{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Traces []obs.TraceView `json:"traces"`
 	}{views})
 }
@@ -71,8 +67,5 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "no trace %q (traces are retained in a bounded ring plus a slowest-N list)", id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(tr.View())
+	writeJSON(w, http.StatusOK, tr.View())
 }

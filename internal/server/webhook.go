@@ -343,8 +343,9 @@ func (s *Server) handleSubscription(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON renders v indented, the way the daemon's other JSON documents
-// are served.
+// writeJSON answers code with v rendered as indented JSON — the one
+// writer behind every JSON document the daemon serves except /layer
+// bodies.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -58,11 +58,12 @@ type CoordinatorConfig struct {
 }
 
 // readResult is one routed frame (or the read error that ended the
-// connection) handed from a worker's reader goroutine to the run that
-// owns the worker.
+// connection) handed from a worker's reader goroutine to the inbox of the
+// run that owns the worker, tagged with the worker's slot in the lease.
 type readResult struct {
-	m   message
-	err error
+	slot int
+	m    message
+	err  error
 }
 
 // workerConn is one registered worker: its connection, the reader
@@ -81,8 +82,9 @@ type workerConn struct {
 	epochMax   time.Duration
 	lastSeen   time.Time       // last frame of any kind (liveness)
 	beats      int64           // heartbeat frames received
-	sink       chan readResult // non-nil while a run owns the worker
-	sinkDone   chan struct{}   // closed when the owning run unwinds
+	inbox      chan readResult // the owning run's inbox; nil while idle
+	slot       int             // the worker's position in the owning run's lease
+	runDone    chan struct{}   // closed when the owning run unwinds
 }
 
 // Coordinator owns the distributed archipelago's ring: workers register
@@ -93,12 +95,12 @@ type workerConn struct {
 //
 // Every registered worker's connection is owned by a dedicated reader
 // goroutine: heartbeats update the liveness clock, run frames are routed
-// to the run that claimed the worker, and a read failure (the worker
-// died) surfaces immediately — to the owning run mid-run, or as an
-// instant expulsion while idle — instead of waiting for the next run to
-// block on the dead connection. A background reaper additionally expels
-// workers that go silent past HeartbeatTimeout, catching deaths that
-// never close the socket.
+// into the inbox of the run that claimed the worker, and a read failure
+// (the worker died) surfaces immediately — to the owning run mid-run, or
+// as an instant expulsion while idle — instead of waiting for the next
+// run to block on the dead connection. A background reaper additionally
+// expels workers that go silent past HeartbeatTimeout, catching deaths
+// that never close the socket.
 //
 // Internally the Coordinator is two layers. The registry/lease layer
 // owns the worker set: each run leases a disjoint subset sized
@@ -287,10 +289,10 @@ func secretsEqual(got, want string) bool {
 }
 
 // readLoop owns every read on a worker's connection. Heartbeats feed the
-// liveness clock; run frames are routed to the run that claimed the
-// worker (frames between runs — stragglers of an aborted run — are
-// discarded); a read error is handed to the owning run, if any, and the
-// worker is expelled. The loop exits exactly when the worker is no
+// liveness clock; run frames are routed into the inbox of the run that
+// claimed the worker (frames between runs — stragglers of an aborted run
+// — are discarded); a read error expels the worker and is handed to the
+// owning run, if any. The loop exits exactly when the worker is no
 // longer usable, so a registered worker always has a live reader.
 func (c *Coordinator) readLoop(w *workerConn) {
 	for {
@@ -303,28 +305,22 @@ func (c *Coordinator) readLoop(w *workerConn) {
 			c.mu.Unlock()
 			continue
 		}
-		sink, sinkDone := w.sink, w.sinkDone
+		inbox, slot, runDone := w.inbox, w.slot, w.runDone
 		c.mu.Unlock()
-		if err == nil {
-			if sink != nil {
-				select {
-				case sink <- readResult{m: m}:
-				case <-sinkDone: // the run unwound first; drop the frame
-				}
-			}
-			continue
+		if err != nil {
+			// Broken connection: expel first so no new run can claim the
+			// worker, then hand the error to the run that was reading it.
+			c.expel(w)
 		}
-		// Broken connection (or a read poisoned by the cancellation
-		// watchdog): expel first so no new run can claim the worker, then
-		// hand the error to the run that was reading it.
-		c.expel(w)
-		if sink != nil {
+		if inbox != nil {
 			select {
-			case sink <- readResult{err: err}:
-			case <-sinkDone:
+			case inbox <- readResult{slot: slot, m: m, err: err}:
+			case <-runDone: // the run unwound first; drop the frame
 			}
 		}
-		return
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -377,7 +373,8 @@ func partition(k, w int) [][]int {
 
 // runOnce drives one distributed run over the workers of its lease. Any
 // worker-attributable failure expels the offender, aborts the others
-// back to idle, and returns an error wrapping errWorkerFailure. The
+// back to idle, and returns an error wrapping errWorkerFailure; a
+// cancelled ctx aborts every worker back to idle and expels nobody. The
 // lease is sized min(islands, fleet) at dispatch, so every leased
 // worker hosts at least one island — no worker sits out a run it is
 // claimed by.
@@ -386,51 +383,27 @@ func (c *Coordinator) runOnce(ctx context.Context, ws []*workerConn, g *dag.Grap
 	parts := partition(k, len(ws))
 	tr := obs.FromContext(ctx)
 
-	// Claim the workers: each gets a fresh frame sink the reader routes
-	// into for the duration of the run. runDone releases any reader
-	// caught mid-route when the run unwinds.
+	// Claim the workers: their readers route this run's frames into one
+	// inbox, sized for one frame per worker so a barrier's answers never
+	// wait on each other. runDone releases any reader caught mid-route
+	// when the run unwinds.
+	inbox := make(chan readResult, len(ws))
 	runDone := make(chan struct{})
-	sinks := make([]chan readResult, len(ws))
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
 	for i, w := range ws {
 		w.islands = len(parts[i])
-		sinks[i] = make(chan readResult, 4)
-		w.sink, w.sinkDone = sinks[i], runDone
+		w.inbox, w.slot, w.runDone = inbox, i, runDone
 	}
 	c.mu.Unlock()
 	defer func() {
 		close(runDone)
 		c.mu.Lock()
 		for _, w := range ws {
-			w.sink, w.sinkDone = nil, nil
+			w.inbox, w.runDone = nil, nil
 		}
 		c.mu.Unlock()
-	}()
-
-	// ctx watchdog: poison every read so a cancelled request cannot hang
-	// the barrier; the deadline is cleared again when the run unwinds.
-	stop := make(chan struct{})
-	var watchdog sync.WaitGroup
-	watchdog.Add(1)
-	go func() {
-		defer watchdog.Done()
-		select {
-		case <-ctx.Done():
-			now := time.Now()
-			for _, w := range ws {
-				_ = w.conn.SetReadDeadline(now)
-			}
-		case <-stop:
-		}
-	}()
-	defer func() {
-		close(stop)
-		watchdog.Wait()
-		for _, w := range ws {
-			_ = w.conn.SetReadDeadline(time.Time{})
-		}
 	}()
 
 	// abort returns the failure after expelling the offender (if any) and
@@ -451,32 +424,43 @@ func (c *Coordinator) runOnce(ctx context.Context, ws []*workerConn, g *dag.Grap
 		return err
 	}
 
-	// abortCancelled is the ctx-cancellation abort: the watchdog may have
-	// poisoned a read mid-frame, leaving a connection's byte stream
-	// desynchronized (a partially consumed frame cannot be resumed), so
-	// every connection this run touched is expelled rather than parked.
-	// Workers redial with backoff and rejoin the fleet cleanly.
-	abortCancelled := func() error {
-		err := abort(nil, fmt.Errorf("shard: run aborted: %w", ctx.Err()))
-		for _, w := range ws {
-			c.expel(w)
-		}
-		return err
-	}
-
-	// next reads the worker's next routed frame for this run, skipping
-	// stragglers of an aborted earlier run.
-	next := func(i int) (message, error) {
-		for {
-			r := <-sinks[i]
-			if r.err != nil {
-				return message{}, r.err
+	// collect is the barrier: it reads the inbox until every worker has
+	// answered with one frame that check accepts, and returns the frames
+	// in lease order with how long the barrier waited for each worker.
+	// The first failure aborts the run, blaming the frame's sender; ctx
+	// ending aborts it blaming nobody.
+	collect := func(check func(i int, m message) error) ([]message, []time.Duration, error) {
+		frames := make([]message, len(ws))
+		waited := make([]time.Duration, len(ws))
+		got := make([]bool, len(ws))
+		start := time.Now()
+		for n := 0; n < len(ws); {
+			var r readResult
+			select {
+			case <-ctx.Done():
+				return nil, nil, abort(nil, fmt.Errorf("shard: run aborted: %w", ctx.Err()))
+			case r = <-inbox:
 			}
-			if r.m.Seq != seq {
-				continue
+			err := r.err
+			if err == nil {
+				switch {
+				case r.m.Seq != seq:
+					continue // a straggler of an aborted earlier run
+				case r.m.Type == msgError:
+					err = fmt.Errorf("worker-side failure: %s", r.m.Error)
+				case got[r.slot]:
+					err = fmt.Errorf("protocol: second %s frame at one barrier", r.m.Type)
+				default:
+					err = check(r.slot, r.m)
+				}
 			}
-			return r.m, nil
+			if err != nil {
+				return nil, nil, abort(ws[r.slot], err)
+			}
+			frames[r.slot], waited[r.slot], got[r.slot] = r.m, time.Since(start), true
+			n++
 		}
+		return frames, waited, nil
 	}
 
 	snap := g.Snapshot()
@@ -493,134 +477,92 @@ func (c *Coordinator) runOnce(ctx context.Context, ws []*workerConn, g *dag.Grap
 		}
 	}
 
+	ring := island.NewRing(k)
 	migrations := 0
 	for epoch := 1; ; epoch++ {
-		// Barrier: collect one epoch frame per worker. Reads run
-		// concurrently so one slow worker delays, not serializes, the
-		// rest; the elapsed time per worker is the per-shard epoch
-		// latency /metrics reports.
+		// Barrier: one epoch frame per worker, carrying the elites of its
+		// assigned islands in order. The wait per worker is the per-shard
+		// epoch latency /metrics reports.
 		barrierStart := tr.Since()
-		frames := make([]message, len(ws))
-		errs := make([]error, len(ws))
-		durs := make([]time.Duration, len(ws))
-		var wg sync.WaitGroup
-		for i := range ws {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				start := time.Now()
-				m, err := next(i)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if m.Type == msgError {
-					errs[i] = fmt.Errorf("worker-side failure: %s", m.Error)
-					return
-				}
-				if m.Type != msgEpoch || m.Epoch != epoch {
-					errs[i] = fmt.Errorf("protocol: want epoch %d, got %s/%d", epoch, m.Type, m.Epoch)
-					return
-				}
-				frames[i] = m
-				durs[i] = time.Since(start)
-			}(i)
-		}
-		wg.Wait()
-		tr.Observe("epoch", "", epoch, barrierStart, tr.Since()-barrierStart)
-		for i, err := range errs {
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, abortCancelled()
-				}
-				return nil, abort(ws[i], err)
+		frames, waited, err := collect(func(i int, m message) error {
+			if m.Type != msgEpoch || m.Epoch != epoch {
+				return fmt.Errorf("protocol: want epoch %d, got %s/%d", epoch, m.Type, m.Epoch)
 			}
+			if len(m.Elites) != len(parts[i]) {
+				return fmt.Errorf("protocol: %d elites for %d islands", len(m.Elites), len(parts[i]))
+			}
+			for j, e := range m.Elites {
+				if e.Island != parts[i][j] {
+					return fmt.Errorf("protocol: elite %d is island %d, want %d", j, e.Island, parts[i][j])
+				}
+			}
+			return nil
+		})
+		tr.Observe("epoch", "", epoch, barrierStart, tr.Since()-barrierStart)
+		if err != nil {
+			return nil, err
 		}
 		c.epochs.Add(1)
 		c.mu.Lock()
 		for i, w := range ws {
 			w.epochs++
-			w.epochTotal += durs[i]
-			if durs[i] > w.epochMax {
-				w.epochMax = durs[i]
-			}
+			w.epochTotal += waited[i]
+			w.epochMax = max(w.epochMax, waited[i])
 		}
 		c.mu.Unlock()
 
-		// Assemble the global elite vector in ring order.
-		elites := make([]island.Elite, k)
-		seen := make([]bool, k)
-		for i := range ws {
-			if len(frames[i].Elites) != len(parts[i]) {
-				return nil, abort(ws[i], fmt.Errorf("protocol: %d elites for %d islands", len(frames[i].Elites), len(parts[i])))
-			}
-			for _, e := range frames[i].Elites {
-				if e.Island < 0 || e.Island >= k || seen[e.Island] {
-					return nil, abort(ws[i], fmt.Errorf("protocol: bad elite island %d", e.Island))
-				}
-				seen[e.Island] = true
-				elites[e.Island] = e
-			}
+		// partition is contiguous in lease order, so the elites laid end
+		// to end are the whole ring in island order; the in-process ring
+		// turns it, and each worker gets back its own islands' slice.
+		elites := make([]island.Elite, 0, k)
+		for _, f := range frames {
+			elites = append(elites, f.Elites...)
 		}
-		cont := false
-		for _, e := range elites {
-			if !e.Done {
-				cont = true
-				break
-			}
+		incoming, cont, err := ring.Exchange(ctx, epoch, elites)
+		if err != nil {
+			return nil, abort(nil, err)
 		}
 		if !cont {
 			break
 		}
-		// The ring turns: island i's incoming elite is island (i-1+k)%k's,
-		// delivered positionally per worker. A single-island archipelago
-		// exchanges nothing (matching island.Ring).
 		migrateStart := tr.Since()
 		for i, w := range ws {
 			migrate := &message{Type: msgMigrate, Seq: seq, Epoch: epoch}
-			if k > 1 {
-				incoming := make([]island.Elite, len(parts[i]))
-				for j, isl := range parts[i] {
-					incoming[j] = elites[(isl-1+k)%k]
-				}
-				migrate.Elites = incoming
+			if incoming != nil {
+				migrate.Elites = incoming[parts[i][0] : parts[i][0]+len(parts[i])]
 			}
 			if err := writeFrame(w.conn, migrate); err != nil {
 				return nil, abort(w, err)
 			}
 		}
 		tr.Observe("migrate", "", epoch, migrateStart, tr.Since()-migrateStart)
-		if k > 1 {
+		if len(incoming) > 0 {
 			migrations++
 			c.migrations.Add(1)
 		}
 	}
 
-	// Finish: collect every worker's reports and assemble.
+	// Finish: collect every worker's reports; laid end to end they are in
+	// ring order, as Assemble requires.
 	for _, w := range ws {
 		if err := writeFrame(w.conn, &message{Type: msgFinish, Seq: seq}); err != nil {
 			return nil, abort(w, err)
 		}
 	}
-	reports := make([]island.Report, 0, k)
-	for i, w := range ws {
-		m, err := next(i)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, abortCancelled()
-			}
-			return nil, abort(w, err)
-		}
-		if m.Type == msgError {
-			return nil, abort(w, fmt.Errorf("worker-side failure: %s", m.Error))
-		}
+	frames, _, err := collect(func(i int, m message) error {
 		if m.Type != msgReport || len(m.Reports) != len(parts[i]) {
-			return nil, abort(w, fmt.Errorf("protocol: want %d reports, got %s/%d", len(parts[i]), m.Type, len(m.Reports)))
+			return fmt.Errorf("protocol: want %d reports, got %s/%d", len(parts[i]), m.Type, len(m.Reports))
 		}
-		reports = append(reports, m.Reports...)
-		tr.Merge(m.Spans, dispatched[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Island < reports[j].Island })
+	reports := make([]island.Report, 0, k)
+	for i, f := range frames {
+		reports = append(reports, f.Reports...)
+		tr.Merge(f.Spans, dispatched[i])
+	}
 	assemble := tr.Begin("assemble")
 	res, err := island.Assemble(g, p, reports, migrations)
 	assemble.End()

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +166,114 @@ func TestSlowWorkerStillCorrect(t *testing.T) {
 	}
 	if slowMax < float64(delay.Milliseconds()) {
 		t.Errorf("slow shard max epoch = %.1fms, want >= %dms", slowMax, delay.Milliseconds())
+	}
+}
+
+// TestCancelledRunKeepsLease: a distributed run cut short by its deadline
+// tells its workers to drop the run and leaves them registered. These
+// workers have no reconnect loop, so the fleet that serves the next run,
+// byte-identically, is the very one the cancelled run leased.
+func TestCancelledRunKeepsLease(t *testing.T) {
+	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{})
+	defer cancel()
+	startWorker(ctx, addr, WorkerConfig{Name: "w0"}, false)
+	startWorker(ctx, addr, WorkerConfig{Name: "w1"}, false)
+	waitWorkers(t, c, 2)
+	ids := func() []int {
+		var ids []int
+		for _, w := range c.Metrics().PerWorker {
+			ids = append(ids, w.ID)
+		}
+		return ids
+	}
+	before := ids()
+
+	g := testGraph(t, 80, 13)
+	p := schedParams(2, 8)
+	p.Colony.Tours = 100000
+	runCtx, cancelRun := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancelRun()
+	if _, err := c.RunIsland(runCtx, g, p); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the run's deadline", err)
+	}
+	if got := ids(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("workers %v right after the cancelled run, want %v still registered", got, before)
+	}
+
+	p.Colony.Tours = 4
+	want, err := island.Run(context.Background(), g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunIsland(context.Background(), g, p)
+	if err != nil {
+		t.Fatalf("run after the cancelled one: %v", err)
+	}
+	if fingerprint(res) != fingerprint(want) {
+		t.Error("run after the cancelled one diverged from the in-process run")
+	}
+}
+
+// TestBarrierBlamesMisreportingWorker: a worker whose epoch frame carries
+// elites for islands it was not assigned is the one expelled. The fake
+// below speaks the raw protocol, holds the lease's first slot (island 0)
+// and answers epoch 1 with an elite for island 1, its honest neighbour's;
+// the retry on the honest worker must return the in-process bytes.
+func TestBarrierBlamesMisreportingWorker(t *testing.T) {
+	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{})
+	defer cancel()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var welcome message
+	if err := writeFrame(conn, &message{Type: msgHello, Name: "liar"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := readFrame(conn, &welcome, maxFrame); err != nil || welcome.Type != msgWelcome {
+		t.Fatalf("fake registration: %v (got %q)", err, welcome.Type)
+	}
+	go func() {
+		// Lie once, then stay silent until the coordinator hangs up.
+		lied := false
+		for {
+			var m message
+			if readFrame(conn, &m, maxFrame) != nil {
+				return
+			}
+			if m.Type == msgRun && !lied {
+				lied = true
+				lie := []island.Elite{{Island: 1, Objective: 1}}
+				_ = writeFrame(conn, &message{Type: msgEpoch, Seq: m.Seq, Epoch: 1, Elites: lie})
+			}
+		}
+	}()
+	waitWorkers(t, c, 1)
+	startWorker(ctx, addr, WorkerConfig{Name: "honest"}, false)
+	waitWorkers(t, c, 2)
+
+	g := testGraph(t, 40, 19)
+	p := schedParams(2, 66)
+	want, err := island.Run(context.Background(), g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCtx, cancelRun := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelRun()
+	res, err := c.RunIsland(runCtx, g, p)
+	if err != nil {
+		t.Fatalf("run with a misreporting worker: %v", err)
+	}
+	if fingerprint(res) != fingerprint(want) {
+		t.Error("retry after the misreport diverged from the in-process run")
+	}
+	m := c.Metrics()
+	if len(m.PerWorker) != 1 || m.PerWorker[0].Name != "honest" {
+		t.Errorf("fleet after the run = %+v, want just the honest worker", m.PerWorker)
+	}
+	if m.RunErrors != 1 {
+		t.Errorf("run_errors = %d, want 1 (the misreport)", m.RunErrors)
 	}
 }
 

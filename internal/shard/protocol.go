@@ -27,6 +27,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -122,7 +123,9 @@ func writeFrame(w io.Writer, m *message) error {
 }
 
 // readFrame reads one length-prefixed JSON frame of at most limit bytes;
-// a larger length prefix is refused before anything is allocated.
+// a larger length prefix is refused before anything is allocated, and
+// the body buffer grows only with the bytes that actually arrive, so a
+// peer announcing a large frame it never sends costs what it sent.
 func readFrame(r io.Reader, m *message, limit uint32) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -132,12 +135,12 @@ func readFrame(r io.Reader, m *message, limit uint32) error {
 	if n > limit {
 		return fmt.Errorf("shard: incoming frame of %d bytes exceeds the %d-byte limit", n, limit)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
 		return fmt.Errorf("shard: read frame body: %w", err)
 	}
 	*m = message{}
-	if err := json.Unmarshal(body, m); err != nil {
+	if err := json.Unmarshal(body.Bytes(), m); err != nil {
 		return fmt.Errorf("shard: decode frame: %w", err)
 	}
 	return nil

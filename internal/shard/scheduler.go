@@ -77,7 +77,6 @@ func (c *Coordinator) RunIsland(ctx context.Context, g *dag.Graph, p island.Para
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p.Migrator = nil // transport wiring never crosses the wire
 	r, err := c.submit(ctx, g, p)
 	if err != nil {
 		return nil, err
@@ -89,7 +88,8 @@ func (c *Coordinator) RunIsland(ctx context.Context, g *dag.Graph, p island.Para
 		if c.cancelQueued(r) {
 			return nil, fmt.Errorf("shard: run cancelled while queued: %w", ctx.Err())
 		}
-		// Already dispatched: the run's ctx watchdog aborts it promptly.
+		// Already dispatched: the run's barrier sees ctx end and aborts
+		// it promptly.
 		out := <-r.done
 		return out.res, out.err
 	}

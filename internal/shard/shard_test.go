@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -287,6 +289,75 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestReadFrameAllocatesWhatArrives: a length prefix within the limit is
+// not an allocation order — an authenticated peer announcing 60 MiB and
+// sending 1 KiB before hanging up costs about that kilobyte.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var in bytes.Buffer
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 60<<20)
+	in.Write(hdr[:])
+	in.Write(bytes.Repeat([]byte{'{'}, 1<<10))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var m message
+	err := readFrame(&in, &m, maxFrame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading 1 KiB of a 60 MiB frame allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// FuzzReadFrame: whatever the bytes, the frame decoder returns an error
+// or a message, never panics, and a message it accepts comes back
+// unchanged through writeFrame/readFrame — the wire bytes of the
+// re-decoded frame equal those of the first encoding. The seeds cover
+// each frame family and the rejection paths; `go test -fuzz=FuzzReadFrame`
+// explores from there.
+func FuzzReadFrame(f *testing.F) {
+	encode := func(m *message) []byte {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	snap := testGraph(f, 6, 1).Snapshot()
+	p := island.DefaultParams()
+	hello := encode(&message{Type: msgHello, Name: "w0", Auth: "hunter2"})
+	f.Add(hello)
+	f.Add(encode(&message{Type: msgRun, Seq: 1, Graph: &snap, Params: &p, Islands: []int{0, 1}, TraceID: "req-1"}))
+	f.Add(encode(&message{Type: msgEpoch, Seq: 1, Epoch: 2, Elites: []island.Elite{{Island: 1, Assign: []int{2, 1, 1}, Objective: 0.2, Done: true}}}))
+	f.Add([]byte{0x04, 0x00, 0x00, 0x01})              // length prefix one byte over the limit
+	f.Add(hello[:len(hello)-3])                        // body cut short
+	f.Add([]byte{0, 0, 0, 5, 'n', 'o', 'p', 'e', '!'}) // body that is not JSON
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m message
+		if readFrame(bytes.NewReader(data), &m, maxFrame) != nil {
+			return
+		}
+		var wire bytes.Buffer
+		if err := writeFrame(&wire, &m); err != nil {
+			t.Fatalf("accepted frame does not encode: %v", err)
+		}
+		sent := bytes.Clone(wire.Bytes())
+		var back message
+		if err := readFrame(&wire, &back, maxFrame); err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, &back); err != nil {
+			t.Fatalf("round-tripped frame does not encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), sent) {
+			t.Fatalf("frame changed on a round trip:\n sent %s\n back %s", sent[4:], again.Bytes()[4:])
+		}
+	})
+}
+
 // TestHandshakeRejectsSilentConnection: a connection that never says
 // hello is dropped after the handshake deadline, not parked forever.
 // (Uses a short-lived coordinator so the 10s production deadline is not
@@ -336,7 +407,7 @@ func TestHandshakeRefusesOversizeHello(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	_ = conn.SetDeadline(time.Now().Add(time.Second))
 	var buf [1]byte
 	_, err = conn.Read(buf[:])
 	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
