@@ -271,6 +271,14 @@ func Promote(l *Layering) *Layering {
 	return improved
 }
 
+// Fixed returns a Layerer that answers with a copy of the already-computed
+// layering l, so Draw renders l instead of running an algorithm a second
+// time. It hands out a copy because the pipeline normalizes the layering
+// it receives in place.
+func Fixed(l *Layering) Layerer {
+	return layererFunc(func(*Graph) (*Layering, error) { return l.Clone(), nil })
+}
+
 // Draw runs the full Sugiyama pipeline (cycle removal, layering, dummy
 // insertion, crossing minimisation, coordinates) on g, which may contain
 // cycles, using the given layerer.

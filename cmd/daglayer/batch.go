@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"antlayer"
 	"antlayer/internal/batch"
 	"antlayer/internal/server"
 )
@@ -46,24 +45,13 @@ flags:
 `)
 		fs.PrintDefaults()
 	}
+	query := requestFlags(fs)
 	var (
-		out        = fs.String("out", "", "output directory (default: the input directory)")
-		jobs       = fs.Int("jobs", 0, "concurrent layering jobs (0 = all CPUs)")
-		stream     = fs.Bool("stream", false, "submit through a daemon's POST /jobs/bulk and stream results back (requires -addr)")
-		addr       = fs.String("addr", "", "daemon base URL for -stream, e.g. http://localhost:8645")
-		timeout    = fs.Duration("timeout", 0, "per-file deadline (0 = none)")
-		algo       = fs.String("algo", "aco", "layering algorithm: aco|island|lpl|minwidth|cg|ns")
-		doPromote  = fs.Bool("promote", false, "apply the Promote Layering post-processing step")
-		dummyWidth = fs.Float64("dummy-width", 1.0, "width of a dummy vertex (nd_width)")
-		ants       = fs.Int("ants", 10, "aco: colony size")
-		tours      = fs.Int("tours", 10, "aco: number of tours")
-		alpha      = fs.Float64("alpha", 1, "aco: pheromone exponent")
-		beta       = fs.Float64("beta", 3, "aco: heuristic exponent")
-		seed       = fs.Int64("seed", 1, "aco: random seed")
-		workers    = fs.Int("workers", 0, "aco: goroutines per tour (0 = all CPUs)")
-		cgWidth    = fs.Int("cg-width", 4, "cg: maximum real vertices per layer")
-		islands    = fs.Int("islands", 4, "island: number of cooperating colonies")
-		migrate    = fs.Int("migration-interval", 2, "island: tours between elite migrations")
+		out     = fs.String("out", "", "output directory (default: the input directory)")
+		jobs    = fs.Int("jobs", 0, "concurrent layering jobs (0 = all CPUs)")
+		stream  = fs.Bool("stream", false, "submit through a daemon's POST /jobs/bulk and stream results back (requires -addr)")
+		addr    = fs.String("addr", "", "daemon base URL for -stream, e.g. http://localhost:8645")
+		timeout = fs.Duration("timeout", 0, "per-file deadline (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,29 +60,17 @@ flags:
 		fs.Usage()
 		return fmt.Errorf("batch wants exactly one directory argument, got %d", fs.NArg())
 	}
+	if *stream && *addr == "" {
+		return fmt.Errorf("-stream needs -addr (the daemon's base URL)")
+	}
 	dir := fs.Arg(0)
 	outDir := *out
 	if outDir == "" {
 		outDir = dir
 	}
-
-	req := server.DefaultRequest()
-	req.Algo = *algo
-	req.Promote = *doPromote
-	req.DummyWidth = *dummyWidth
-	req.CGWidth = *cgWidth
-	req.ACO = buildACO(*ants, *tours, *workers, *alpha, *beta, *dummyWidth, *seed)
-	req.Islands = *islands
-	req.MigrationInterval = *migrate
-	// Fail on a bad algorithm name up front, not once per file — and let
-	// LayererByName own the valid-name list instead of keeping a copy.
-	if _, err := antlayer.LayererByName(ctx, req.Algo, antlayer.Options{
-		DummyWidth:        req.DummyWidth,
-		CGWidth:           req.CGWidth,
-		ACO:               req.ACO,
-		Islands:           req.Islands,
-		MigrationInterval: req.MigrationInterval,
-	}); err != nil {
+	params := query()
+	req, err := server.ParseRequest(params)
+	if err != nil {
 		return err
 	}
 
@@ -110,10 +86,13 @@ flags:
 	}
 
 	if *stream {
-		if *addr == "" {
-			return fmt.Errorf("-stream needs -addr (the daemon's base URL)")
+		// The local mode computes cold, so the daemon must too: a warm
+		// start from an anchor left by earlier traffic answers other bytes.
+		params.Set("warm", "false")
+		if *timeout > 0 {
+			params.Set("timeout-ms", strconv.FormatInt(timeout.Milliseconds(), 10))
 		}
-		return runBatchStream(ctx, *addr, dir, outDir, inputs, streamQuery(req, *timeout), stdout)
+		return runBatchStream(ctx, *addr, dir, outDir, inputs, params, stdout)
 	}
 
 	q := batch.New(batch.Config{
@@ -137,11 +116,7 @@ flags:
 	subs := make([]submission, 0, len(inputs))
 	for _, name := range inputs {
 		freq := req // copy; Format differs per file
-		if strings.HasSuffix(name, ".dot") {
-			freq.Format = "dot"
-		} else {
-			freq.Format = "edges"
-		}
+		freq.Format = inputFormat(name)
 		path := filepath.Join(dir, name)
 		j, err := q.Submit(func(jctx context.Context) ([]byte, error) {
 			if *timeout > 0 {
@@ -214,6 +189,15 @@ func destNames(inputs []string) map[string]string {
 	return dest
 }
 
+// inputFormat is the /layer format of a batch input, named by its
+// extension.
+func inputFormat(name string) string {
+	if strings.HasSuffix(name, ".dot") {
+		return "dot"
+	}
+	return "edges"
+}
+
 // batchInputs lists the layerable files of dir in sorted order, so runs
 // are reproducible and the result table is stable.
 func batchInputs(dir string) ([]string, error) {
@@ -235,32 +219,6 @@ func batchInputs(dir string) ([]string, error) {
 	return inputs, nil
 }
 
-// streamQuery renders the parsed batch flags as the /layer query string a
-// bulk line carries (format is filled in per file).
-func streamQuery(req server.Request, timeout time.Duration) url.Values {
-	v := url.Values{}
-	v.Set("algo", req.Algo)
-	if req.Promote {
-		v.Set("promote", "true")
-	}
-	v.Set("dummy-width", strconv.FormatFloat(req.DummyWidth, 'g', -1, 64))
-	v.Set("cg-width", strconv.Itoa(req.CGWidth))
-	v.Set("ants", strconv.Itoa(req.ACO.Ants))
-	v.Set("tours", strconv.Itoa(req.ACO.Tours))
-	v.Set("alpha", strconv.FormatFloat(req.ACO.Alpha, 'g', -1, 64))
-	v.Set("beta", strconv.FormatFloat(req.ACO.Beta, 'g', -1, 64))
-	v.Set("seed", strconv.FormatInt(req.ACO.Seed, 10))
-	if req.ACO.Workers > 0 {
-		v.Set("workers", strconv.Itoa(req.ACO.Workers))
-	}
-	v.Set("islands", strconv.Itoa(req.Islands))
-	v.Set("migration-interval", strconv.Itoa(req.MigrationInterval))
-	if timeout > 0 {
-		v.Set("timeout-ms", strconv.FormatInt(timeout.Milliseconds(), 10))
-	}
-	return v
-}
-
 // runBatchStream is `daglayer batch -stream`: ship every input to a
 // daemon's POST /jobs/bulk?envelope=true as ndjson and write each result
 // as its line streams back, in completion order. The envelope mode is
@@ -277,17 +235,9 @@ func runBatchStream(ctx context.Context, addr, dir, outDir string, inputs []stri
 		if err != nil {
 			return err
 		}
-		q := url.Values{}
-		for k, vs := range query {
-			q[k] = vs
-		}
-		if strings.HasSuffix(name, ".dot") {
-			q.Set("format", "dot")
-		} else {
-			q.Set("format", "edges")
-		}
+		query.Set("format", inputFormat(name))
 		// Encode emits one compact JSON document plus '\n' — one ndjson line.
-		if err := enc.Encode(map[string]string{"query": q.Encode(), "graph": string(graph)}); err != nil {
+		if err := enc.Encode(map[string]string{"query": query.Encode(), "graph": string(graph)}); err != nil {
 			return err
 		}
 	}

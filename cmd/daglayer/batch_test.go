@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -239,5 +240,51 @@ func TestBatchStreamNeedsAddr(t *testing.T) {
 	err := run(context.Background(), []string{"batch", "-stream", dir}, nil, &buf)
 	if err == nil || !strings.Contains(err.Error(), "-addr") {
 		t.Fatalf("err = %v, want a -addr complaint", err)
+	}
+}
+
+// TestBatchStreamComputesCold: -stream asks the daemon for cold runs. A
+// first pass over an edit chain leaves warm anchors in the daemon; a
+// second pass under another -tours must still write the bytes the local
+// mode writes for that -tours, not warm-started ones.
+func TestBatchStreamComputesCold(t *testing.T) {
+	dir := t.TempDir()
+	edges := []string{"a -> b", "b -> c", "c -> d", "d -> e", "e -> f", "f -> g", "a -> d", "b -> f", "c -> g"}
+	for i := 0; i < 4; i++ {
+		graph := "digraph { " + strings.Join(edges[:6+i], "; ") + " }"
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("e%d.dot", i)), []byte(graph), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := server.New(server.Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var buf bytes.Buffer
+	streamOut := t.TempDir()
+	for _, tours := range []string{"4", "6"} {
+		args := []string{"batch", "-stream", "-addr", ts.URL, "-out", streamOut, "-tours", tours, "-seed", "3", dir}
+		if err := run(context.Background(), args, nil, &buf); err != nil {
+			t.Fatalf("stream batch -tours %s: %v\n%s", tours, err, buf.String())
+		}
+	}
+	localOut := t.TempDir()
+	if err := run(context.Background(), []string{"batch", "-out", localOut, "-tours", "6", "-seed", "3", dir}, nil, &buf); err != nil {
+		t.Fatalf("local batch: %v\n%s", err, buf.String())
+	}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("e%d.json", i)
+		local, err := os.ReadFile(filepath.Join(localOut, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := os.ReadFile(filepath.Join(streamOut, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(local, streamed) {
+			t.Errorf("%s: streamed result differs from local batch:\n%s\nvs\n%s", name, streamed, local)
+		}
 	}
 }

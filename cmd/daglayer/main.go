@@ -28,6 +28,11 @@
 //
 //	daglayer batch -algo island -jobs 8 -out results/ corpus/n050
 //
+// Both modes parse their request flags, the /layer query parameters of
+// the same names, with server.ParseRequest, so they refuse what /layer
+// refuses. batch -stream adds warm=false: the daemon computes cold, and
+// each streamed file matches the local mode's byte for byte.
+//
 // The daemon answers POSTed graphs with layering JSON (synchronously on
 // /layer, asynchronously via the /jobs queue), caches results and bounds
 // every request by a deadline (see internal/server):
@@ -64,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -72,6 +78,7 @@ import (
 	"antlayer"
 	"antlayer/internal/buildinfo"
 	"antlayer/internal/dot"
+	"antlayer/internal/server"
 )
 
 // modes lists the subcommands for usage and unknown-subcommand errors.
@@ -132,17 +139,32 @@ func printVersion(stdout io.Writer) error {
 	return err
 }
 
-// buildACO assembles colony parameters from the CLI flags.
-func buildACO(ants, tours, workers int, alpha, beta, dummyWidth float64, seed int64) antlayer.ACOParams {
-	p := antlayer.DefaultACOParams()
-	p.Ants = ants
-	p.Tours = tours
-	p.Workers = workers
-	p.Alpha = alpha
-	p.Beta = beta
-	p.DummyWidth = dummyWidth
-	p.Seed = seed
-	return p
+// requestFlags declares on fs the request flags both layering modes
+// share: the /layer query parameters of the same names, with the
+// daemon's defaults. The returned function spells the parsed flags as
+// that query, and server.ParseRequest is its only parser, so the CLI
+// accepts, refuses and defaults exactly as the daemon does.
+func requestFlags(fs *flag.FlagSet) (query func() url.Values) {
+	def, isl := server.DefaultRequest(), antlayer.DefaultIslandParams()
+	shared := flag.NewFlagSet("request", flag.ContinueOnError)
+	shared.String("algo", def.Algo, "layering algorithm: aco|island|lpl|minwidth|cg|ns")
+	shared.Bool("promote", def.Promote, "apply the Promote Layering post-processing step")
+	shared.Float64("dummy-width", def.DummyWidth, "width of a dummy vertex (nd_width)")
+	shared.Int("ants", def.ACO.Ants, "aco: colony size")
+	shared.Int("tours", def.ACO.Tours, "aco: number of tours")
+	shared.Float64("alpha", def.ACO.Alpha, "aco: pheromone exponent")
+	shared.Float64("beta", def.ACO.Beta, "aco: heuristic exponent")
+	shared.Int64("seed", def.ACO.Seed, "aco: random seed")
+	shared.Int("workers", def.ACO.Workers, "aco: goroutines per tour (0 = all CPUs; same seed gives the same layering at any value)")
+	shared.Int("cg-width", def.CGWidth, "cg: maximum real vertices per layer")
+	shared.Int("islands", isl.Islands, "island: number of cooperating colonies")
+	shared.Int("migration-interval", isl.MigrationInterval, "island: tours between elite migrations")
+	shared.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	return func() url.Values {
+		q := url.Values{}
+		shared.VisitAll(func(f *flag.Flag) { q.Set(f.Name, f.Value.String()) })
+		return q
+	}
 }
 
 // runComparison layers g with every algorithm and prints one row each.
@@ -180,27 +202,22 @@ func runLayer(ctx context.Context, args []string, stdin io.Reader, stdout io.Wri
 		fmt.Fprintf(fs.Output(), "usage: daglayer [layer] [flags] (reads the graph from -in or stdin)\n\n%s\n\nflags of the layer mode:\n", modes)
 		fs.PrintDefaults()
 	}
+	query := requestFlags(fs)
 	var (
-		in         = fs.String("in", "", "input file (default: stdin)")
-		format     = fs.String("format", "dot", "input format: dot | edges (corpusgen edge lists)")
-		algo       = fs.String("algo", "aco", "layering algorithm: aco|island|lpl|minwidth|cg|ns")
-		compare    = fs.Bool("compare", false, "run every algorithm and print a comparison table")
-		doPromote  = fs.Bool("promote", false, "apply the Promote Layering post-processing step")
-		svgOut     = fs.String("svg", "", "write an SVG drawing to this file")
-		rankOut    = fs.String("rank-dot", "", "write a rank=same DOT file with the computed layering")
-		ascii      = fs.Bool("ascii", false, "print an ASCII drawing")
-		dummyWidth = fs.Float64("dummy-width", 1.0, "width of a dummy vertex (nd_width)")
-		ants       = fs.Int("ants", 10, "aco: colony size")
-		tours      = fs.Int("tours", 10, "aco: number of tours")
-		alpha      = fs.Float64("alpha", 1, "aco: pheromone exponent")
-		beta       = fs.Float64("beta", 3, "aco: heuristic exponent")
-		seed       = fs.Int64("seed", 1, "aco: random seed")
-		workers    = fs.Int("workers", 0, "aco: goroutines per tour (0 = all CPUs; same seed gives the same layering at any value)")
-		cgWidth    = fs.Int("cg-width", 4, "cg: maximum real vertices per layer")
-		islands    = fs.Int("islands", 4, "island: number of cooperating colonies")
-		migrate    = fs.Int("migration-interval", 2, "island: tours between elite migrations")
+		in      = fs.String("in", "", "input file (default: stdin)")
+		format  = fs.String("format", "dot", "input format: dot | edges (corpusgen edge lists)")
+		compare = fs.Bool("compare", false, "run every algorithm and print a comparison table")
+		svgOut  = fs.String("svg", "", "write an SVG drawing to this file")
+		rankOut = fs.String("rank-dot", "", "write a rank=same DOT file with the computed layering")
+		ascii   = fs.Bool("ascii", false, "print an ASCII drawing")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	q := query()
+	q.Set("format", *format)
+	req, err := server.ParseRequest(q)
+	if err != nil {
 		return err
 	}
 
@@ -213,44 +230,22 @@ func runLayer(ctx context.Context, args []string, stdin io.Reader, stdout io.Wri
 		defer f.Close()
 		r = f
 	}
-	var g *antlayer.Graph
-	var names []string
-	var err error
-	switch *format {
-	case "dot":
-		g, names, err = antlayer.ReadDOT(r)
-	case "edges":
-		// ReadEdgeListNamed synthesises v<N> names and labels, so the
-		// SVG, rank-dot and ASCII outputs render labelled vertices too.
-		g, names, err = dot.ReadEdgeListNamed(r)
-	default:
-		return fmt.Errorf("unknown input format %q (want dot|edges)", *format)
-	}
+	// Edge lists get synthesised v<N> names and labels, so the SVG,
+	// rank-dot and ASCII outputs render labelled vertices too.
+	g, names, err := server.ParseGraph(req, r)
 	if err != nil {
 		return err
 	}
 
 	if *compare {
-		return runComparison(ctx, stdout, g, antlayer.Options{
-			DummyWidth:        *dummyWidth,
-			CGWidth:           *cgWidth,
-			ACO:               buildACO(*ants, *tours, *workers, *alpha, *beta, *dummyWidth, *seed),
-			Islands:           *islands,
-			MigrationInterval: *migrate,
-		})
+		return runComparison(ctx, stdout, g, req.Options())
 	}
 
-	layerer, err := antlayer.LayererByName(ctx, *algo, antlayer.Options{
-		DummyWidth:        *dummyWidth,
-		CGWidth:           *cgWidth,
-		ACO:               buildACO(*ants, *tours, *workers, *alpha, *beta, *dummyWidth, *seed),
-		Islands:           *islands,
-		MigrationInterval: *migrate,
-	})
+	layerer, err := antlayer.LayererByName(ctx, req.Algo, req.Options())
 	if err != nil {
 		return err
 	}
-	if *doPromote {
+	if req.Promote {
 		layerer = antlayer.WithPromotion(layerer)
 	}
 
@@ -258,9 +253,9 @@ func runLayer(ctx context.Context, args []string, stdin io.Reader, stdout io.Wri
 	if err != nil {
 		return err
 	}
-	m := l.ComputeMetrics(*dummyWidth)
+	m := l.ComputeMetrics(req.DummyWidth)
 	fmt.Fprintf(stdout, "graph: %d vertices, %d edges\n", g.N(), g.M())
-	fmt.Fprintf(stdout, "algorithm: %s (promote=%v)\n", *algo, *doPromote)
+	fmt.Fprintf(stdout, "algorithm: %s (promote=%v)\n", req.Algo, req.Promote)
 	fmt.Fprintf(stdout, "height:           %d\n", m.Height)
 	fmt.Fprintf(stdout, "width incl dummy: %.2f\n", m.WidthIncl)
 	fmt.Fprintf(stdout, "width excl dummy: %.2f\n", m.WidthExcl)
@@ -294,7 +289,7 @@ func runLayer(ctx context.Context, args []string, stdin io.Reader, stdout io.Wri
 	}
 
 	if *svgOut != "" || *ascii {
-		d, err := antlayer.Draw(g, layerer, nil)
+		d, err := antlayer.Draw(g, antlayer.Fixed(l), nil)
 		if err != nil {
 			return err
 		}

@@ -167,3 +167,23 @@ func TestRunCyclicInputViaACO(t *testing.T) {
 		t.Fatal("cyclic input accepted")
 	}
 }
+
+// TestRequestFlagsParsedLikeLayer: both modes parse their request flags
+// with the daemon's parser, so they refuse what /layer refuses instead of
+// quietly running the default archipelago.
+func TestRequestFlagsParsedLikeLayer(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "g.dot"), []byte(demoDOT), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]string{{"-islands", "-1"}, {"-migration-interval", "-3"}} {
+		flags := append([]string{"-algo", "island", "-tours", "2"}, bad...)
+		if err := run(context.Background(), flags, strings.NewReader(demoDOT), new(bytes.Buffer)); err == nil {
+			t.Errorf("layer %v accepted", bad)
+		}
+		args := append(append([]string{"batch", "-out", t.TempDir()}, flags...), dir)
+		if err := run(context.Background(), args, nil, new(bytes.Buffer)); err == nil {
+			t.Errorf("batch %v accepted", bad)
+		}
+	}
+}

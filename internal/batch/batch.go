@@ -585,8 +585,9 @@ func (q *Queue) finish(j *Job, result []byte, err error) {
 	canceled := j.canceled
 	ev := eventOf(j, j.state)
 	j.mu.Unlock()
-	close(j.done)
+	// Publish first: a waiter woken by Done() must find the event.
 	q.events.publish(ev)
+	close(j.done)
 
 	if wasQueued {
 		q.stats.Queued--

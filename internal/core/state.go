@@ -70,6 +70,27 @@ func (s *State) MemoryBytes() int64 {
 	return n
 }
 
+// ColonyMemoryBytes estimates the resident bytes one colony over an
+// n-vertex graph allocates under p, so admission can refuse a request
+// before anything is allocated. It counts two pheromone matrices of n
+// rows by L layers (the colony's own and the State it exports or warm-
+// starts from; L is n, or MaxLayers when larger), a third for the τ^α
+// snapshot when Alpha ≠ 1, and per ant its O(n + L) scratch plus about
+// 5 KiB of RNG table and struct. It saturates at math.MaxInt64.
+func ColonyMemoryBytes(n int, p Params) int64 {
+	rows, layers := float64(n), float64(max(n, p.MaxLayers))
+	matrices := 2.0
+	if p.Alpha != 1 {
+		matrices++
+	}
+	perAnt := 16*rows + 64*(layers+2) + 5<<10
+	est := matrices*rows*(24+8*layers) + float64(max(p.Ants, 0))*perAnt
+	if est >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(est)
+}
+
 // MapByName builds the vertex correspondence between two graphs from
 // their per-vertex name slices: mapping[newV] is the index of the vertex
 // named newNames[newV] in oldNames, or -1 when the name is new. When a

@@ -3,6 +3,7 @@ package dot
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,6 +122,80 @@ func FuzzReadEdgeListNamed(f *testing.F) {
 		}
 		if h.N() != g.N() || h.M() != g.M() {
 			t.Fatalf("round trip: n=%d m=%d, want n=%d m=%d", h.N(), h.M(), g.N(), g.M())
+		}
+	})
+}
+
+// FuzzRead is the DOT reader's harness for the /layer, /jobs and
+// `daglayer` entry points: whatever the bytes, Read returns an error or a
+// named graph whose Names and ID agree. When the names Write would emit
+// are unique, a Write → Read round trip keeps the vertex and edge counts,
+// every width and every edge by name.
+func FuzzRead(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"digraph { a -> b; b -> c; a -> c; }",
+		"strict digraph G { a [label=\"x y\", width=2.5]; a -> b -> c [color=red]; }",
+		"digraph { \"\" -> a; b; }",              // empty name: written as v<N>
+		"digraph { a [label=b]; b; a -> b; }",    // label collides with a name
+		"digraph { a [width=\"NaN\"]; a -> b; }", // non-finite width
+		"digraph { a [width=-1]; }",
+		"digraph { // comment\n a -> b; /* block */ # line\n }",
+		"digraph { node [shape=box]; a -> a; }", // self-loop
+		"digraph { a -> b; b -> a; }",           // cycle: allowed, not a DAG check
+		"digraph { a -> }",
+		"digraph { a -> b; } trailing",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		n, err := Read(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		g := n.Graph
+		if len(n.Names) != g.N() || len(n.ID) != g.N() {
+			t.Fatalf("%d names, %d IDs for %d vertices", len(n.Names), len(n.ID), g.N())
+		}
+		for v, name := range n.Names {
+			if n.ID[name] != v {
+				t.Fatalf("vertex %d named %q, but ID[%q] = %d", v, name, name, n.ID[name])
+			}
+		}
+
+		written := make(map[string]int, g.N())
+		for v := 0; v < g.N(); v++ {
+			written[nodeName(g, v)] = v
+		}
+		if len(written) != g.N() {
+			return // two vertices would be written under one name
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g, "fuzz"); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
+		}
+		h := back.Graph
+		if h.N() != g.N() || h.M() != g.M() {
+			t.Fatalf("round trip: n=%d m=%d, want n=%d m=%d", h.N(), h.M(), g.N(), g.M())
+		}
+		for name, v := range written {
+			w, ok := back.ID[name]
+			if !ok {
+				t.Fatalf("vertex %q lost in round trip", name)
+			}
+			if a, b := g.Width(v), h.Width(w); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Fatalf("vertex %q: width %g, want %g", name, b, a)
+			}
+		}
+		for _, e := range g.Edges() {
+			u, v := back.ID[nodeName(g, e.U)], back.ID[nodeName(g, e.V)]
+			if !h.HasEdge(u, v) {
+				t.Fatalf("edge %q -> %q lost in round trip", nodeName(g, e.U), nodeName(g, e.V))
+			}
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 
 	"antlayer"
 	"antlayer/internal/batch"
+	"antlayer/internal/core"
 	"antlayer/internal/obs"
 )
 
@@ -55,6 +56,10 @@ func reject(status int, format string, args ...any) *rejection {
 	return &rejection{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
+// maxColonyBytes bounds one request's colonies: core.ColonyMemoryBytes
+// times the colony count, which grows with n² from a small body.
+const maxColonyBytes = 256 << 20
+
 // prepare parses a request's query and graph, refuses distributed=true on
 // a daemon that is not a coordinator, hashes the graph once for both
 // keys, plans a warm start and resolves the deadline: the server default,
@@ -96,6 +101,13 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 			return nil, reject(http.StatusRequestEntityTooLarge, "graph larger than %d bytes", tooLarge.Limit)
 		}
 		return nil, reject(http.StatusBadRequest, "bad %s input: %v", req.Format, err)
+	}
+	if k := req.colonies(); k > 0 {
+		if est := core.ColonyMemoryBytes(g.N(), req.ACO); est > maxColonyBytes/int64(k) {
+			return nil, reject(http.StatusRequestEntityTooLarge,
+				"colony memory estimate %.4g MiB (n=%d, ants=%d, colonies=%d) exceeds the %d MiB limit",
+				float64(est)*float64(k)/(1<<20), g.N(), req.ACO.Ants, k, maxColonyBytes>>20)
+		}
 	}
 	return &call{req: req, g: g, names: names}, nil
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -135,4 +137,103 @@ func TestRequestKeysGolden(t *testing.T) {
 	if got := resp.Header.Get("X-Graph-Key"); got != wantGraph {
 		t.Errorf("X-Graph-Key = %s, want %s", got, wantGraph)
 	}
+}
+
+// TestPrepareBoundsColonyMemory: a request whose colonies would hold more
+// than maxColonyBytes is refused 413 before anything is allocated — a
+// wide graph under a tiny colony, a small graph under a huge one, and an
+// ant count that would overflow the estimate — while an ordinary island
+// request passes.
+func TestPrepareBoundsColonyMemory(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	cases := []struct {
+		query, graph string
+		refused      bool
+	}{
+		{"format=edges&tours=1&ants=2", bigEdgeList(6000), true},
+		{"format=edges&tours=1&ants=200000", bigEdgeList(100), true},
+		{"format=edges&ants=9223372036854775807", bigEdgeList(100), true},
+		{"format=edges&algo=island&islands=4", bigEdgeList(100), false},
+		{"format=edges&algo=lpl", bigEdgeList(6000), false},
+	}
+	for _, c := range cases {
+		q, err := url.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rej := s.prepare(q, strings.NewReader(c.graph), nil)
+		switch {
+		case c.refused && (rej == nil || rej.status != http.StatusRequestEntityTooLarge):
+			t.Errorf("%s: rejection %+v, want 413", c.query, rej)
+		case c.refused && !strings.HasSuffix(rej.msg, "exceeds the 256 MiB limit"):
+			t.Errorf("%s: message %q names no estimate and limit", c.query, rej.msg)
+		case !c.refused && rej != nil:
+			t.Errorf("%s: refused: %+v", c.query, rej)
+		}
+	}
+}
+
+// TestTimeoutSaturates: a timeout-ms too large for a time.Duration asks
+// for the longest deadline allowed, MaxTimeout, instead of wrapping to a
+// negative value that falls back to the default.
+func TestTimeoutSaturates(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, ms := range []string{"9223372036854775807", "18446744073709"} {
+		c, rej := s.prepare(url.Values{"timeout-ms": {ms}}, strings.NewReader(demoDOT), nil)
+		if rej != nil {
+			t.Fatalf("timeout-ms=%s refused: %+v", ms, rej)
+		}
+		if c.timeout != s.cfg.MaxTimeout {
+			t.Errorf("timeout-ms=%s: deadline %v, want MaxTimeout %v", ms, c.timeout, s.cfg.MaxTimeout)
+		}
+	}
+}
+
+// FuzzParseRequest: whatever the query, ParseRequest either refuses it
+// or returns a request inside the documented bounds.
+func FuzzParseRequest(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"timeout-ms=9223372036854775807",
+		"timeout-ms=18446744073709",
+		"timeout-ms=0",
+		"algo=island&islands=-1",
+		"algo=island&migration-interval=-3",
+		"algo=island&distributed=true&islands=6&tours=8&seed=42",
+		"format=edges&render=svg&promote=true&dummy-width=0.5",
+		"label=a&label=b&base=5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87",
+		"stall-tours=3&stop-stagnant=4&width-bound=2&warm=false",
+		"tuors=100",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		req, err := ParseRequest(q)
+		if err != nil {
+			return
+		}
+		switch {
+		case req.Format != "dot" && req.Format != "edges":
+			t.Fatalf("format %q accepted", req.Format)
+		case !slices.Contains([]string{"aco", "island", "lpl", "minwidth", "cg", "ns"}, req.Algo):
+			t.Fatalf("algo %q accepted", req.Algo)
+		case req.Render != RenderNone && req.Render != RenderSVG && req.Render != RenderASCII:
+			t.Fatalf("render %q accepted", req.Render)
+		case req.Islands < 0 || req.MigrationInterval < 0:
+			t.Fatalf("islands=%d migration-interval=%d accepted", req.Islands, req.MigrationInterval)
+		case req.Timeout < 0:
+			t.Fatalf("negative timeout %v from %q", req.Timeout, raw)
+		case len(req.Base) > 128 || len(req.Labels) > 8:
+			t.Fatalf("base of %d bytes, %d labels accepted", len(req.Base), len(req.Labels))
+		}
+		for _, l := range req.Labels {
+			if l == "" || len(l) > 64 {
+				t.Fatalf("label %q accepted", l)
+			}
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/url"
 	"sort"
 	"strconv"
@@ -29,10 +30,11 @@ const (
 
 // Request is a fully parsed and validated layering request: everything
 // that determines the response body, plus the per-request timeout (which
-// deliberately does not). The HTTP daemon builds one per /layer or /jobs
-// call via ParseRequest; the `daglayer batch` CLI builds them from flags —
-// both paths feed Compute, so a batch result file holds byte-for-byte the
-// body the daemon would have served.
+// deliberately does not). ParseRequest builds every one: per /layer,
+// /jobs or bulk-line call in the daemon, and from the flags of the
+// `daglayer layer` and `daglayer batch` CLIs, which spell them as the
+// same query. Both daemon and batch feed Compute, so a batch result file
+// holds byte-for-byte the body the daemon would have served.
 type Request struct {
 	Format            string // dot | edges
 	Algo              string // aco | island | lpl | minwidth | cg | ns
@@ -85,8 +87,8 @@ func DefaultRequest() Request {
 	}
 }
 
-// options maps the request onto the shared algorithm-constructor options.
-func (req Request) options() antlayer.Options {
+// Options maps the request onto the shared algorithm-constructor options.
+func (req Request) Options() antlayer.Options {
 	return antlayer.Options{
 		DummyWidth:        req.DummyWidth,
 		CGWidth:           req.CGWidth,
@@ -94,6 +96,18 @@ func (req Request) options() antlayer.Options {
 		Islands:           req.Islands,
 		MigrationInterval: req.MigrationInterval,
 	}
+}
+
+// colonies is the number of ant colonies the request runs: the
+// archipelago size for algo=island, one for algo=aco, none otherwise.
+func (req Request) colonies() int {
+	switch req.Algo {
+	case "aco":
+		return 1
+	case "island":
+		return req.Options().IslandOf().Islands
+	}
+	return 0
 }
 
 // ParseRequest decodes the query parameters of a /layer or /jobs request.
@@ -173,7 +187,8 @@ func ParseRequest(q url.Values) (Request, error) {
 			if err == nil && ms <= 0 {
 				err = fmt.Errorf("must be positive")
 			}
-			req.Timeout = time.Duration(ms) * time.Millisecond
+			// Saturate, not wrap: prepare caps the deadline at MaxTimeout.
+			req.Timeout = time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 		default:
 			return req, fmt.Errorf("unknown query parameter %q", key)
 		}
@@ -258,7 +273,7 @@ func requestKey(req Request, gk string) string {
 	// they cannot influence the result.
 	islands, interval := 0, 0
 	if req.Algo == "island" {
-		ip := req.options().IslandOf()
+		ip := req.Options().IslandOf()
 		islands, interval = ip.Islands, ip.MigrationInterval
 	}
 	fmt.Fprintf(h, "p algo=%s promote=%t render=%s dummyWidth=%g cgWidth=%d islands=%d interval=%d aco=%+v\n",
@@ -372,7 +387,7 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		}
 		toursRun = len(colony.History)
 	case "island":
-		res, err := runIsland(ctx, g, req.options().IslandOf())
+		res, err := runIsland(ctx, g, req.Options().IslandOf())
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -384,7 +399,7 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		resp.BestIsland = &bestIsland
 		resp.Islands = len(res.PerIsland)
 	default:
-		layerer, err := antlayer.LayererByName(ctx, req.Algo, req.options())
+		layerer, err := antlayer.LayererByName(ctx, req.Algo, req.Options())
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -427,7 +442,7 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 
 	if req.Render != RenderNone {
 		render := obs.FromContext(ctx).Begin("render")
-		d, err := antlayer.Draw(g, fixedLayering{l}, nil)
+		d, err := antlayer.Draw(g, antlayer.Fixed(l), nil)
 		if err != nil {
 			return nil, 0, nil, fmt.Errorf("render: %w", err)
 		}
@@ -451,14 +466,4 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		return nil, 0, nil, err
 	}
 	return append(body, '\n'), toursRun, state, nil
-}
-
-// fixedLayering adapts an already-computed layering to the Layerer
-// interface so the Sugiyama pipeline renders it instead of re-running the
-// algorithm (the pipeline clones acyclic inputs and normalizes the
-// layering in place, hence the clone).
-type fixedLayering struct{ l *antlayer.Layering }
-
-func (f fixedLayering) Layer(*antlayer.Graph) (*antlayer.Layering, error) {
-	return f.l.Clone(), nil
 }

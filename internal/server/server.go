@@ -494,6 +494,7 @@ func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, sourc
 			s.flights.finish(key, fl, nil, err)
 			return nil, "", "computing", err
 		}
+		s.cache.Put(key, body)
 		if state != nil && warm == nil {
 			// File a cold run's final state under the graph it solved, so
 			// the next request for this graph — or an edit of it — can
@@ -504,7 +505,7 @@ func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, sourc
 			// answers would drift instead of replaying byte-identically.
 			// When an edit chain wanders far enough from its anchor that
 			// the similarity probe misses, the cold run that follows
-			// re-anchors it.
+			// re-anchors it. It goes in after the body: see warmPlan.
 			s.warm.put(c.gk, c.names, state)
 		}
 		if warm != nil {
@@ -513,7 +514,6 @@ func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, sourc
 				s.metrics.warmToursSaved.Add(saved)
 			}
 		}
-		s.cache.Put(key, body)
 		// The miss is counted only now, when a body was computed and
 		// stored: the hit rate then describes serviceable traffic,
 		// undistorted by requests that failed or timed out before

@@ -276,13 +276,16 @@ func (s *Server) warmPlan(c *call) {
 		s.metrics.warmMisses.Add(1)
 		return
 	}
+	if _, ok := s.cache.Get(c.key); ok {
+		// An identical cold run finished between the peek above and the
+		// probe. It stores its body before it publishes its anchor, so
+		// the body is here now: serve it, as the peek would have.
+		c.probed = false
+		return
+	}
 	mapping := core.MapByName(entry.names, c.names)
 	req.ACO.Warm = entry.state.Remap(mapping, c.g.N())
 	coldTours := req.ACO.Tours
-	islands := 1
-	if req.Algo == "island" {
-		islands = req.options().IslandOf().Islands
-	}
 	warmTours := int(math.Ceil(float64(req.ACO.Tours) * warmToursFrac))
 	if warmTours < 1 {
 		warmTours = 1
@@ -297,6 +300,6 @@ func (s *Server) warmPlan(c *call) {
 		key:        c.key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10),
 		baseKey:    entry.key,
 		similarity: sim,
-		coldTours:  coldTours * islands,
+		coldTours:  coldTours * req.colonies(),
 	}
 }
