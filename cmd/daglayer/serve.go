@@ -31,7 +31,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		jobExpiry   = fs.Duration("job-expiry", 0, "additionally evict finished jobs older than this (0 = count bound only)")
 		eventRing   = fs.Int("event-ring", 0, "job-event replay ring size; bounds how far back an SSE reconnect can resume (0 = default 1024)")
 		sseHeart    = fs.Duration("sse-heartbeat", 0, "heartbeat-comment interval on idle SSE streams (0 = default 15s)")
-		whRetries   = fs.Int("webhook-retries", 0, "delivery attempts per webhook event before giving up (0 = default 4)")
 		coordinator = fs.String("coordinator", "", "also run a shard coordinator on this address (e.g. :8650); workers join with 'daglayer worker'")
 		hbTimeout   = fs.Duration("heartbeat-timeout", 0, "expel workers silent longer than this (0 = library default, negative disables)")
 		runQueue    = fs.Int("run-queue", 0, "distributed-run admission queue bound; runs beyond it answer 429 (0 = default 16, negative = dispatch-or-reject)")
@@ -72,17 +71,10 @@ Runs the layering HTTP daemon:
   DELETE /jobs/{id}  cancel a job
   GET    /events     SSE firehose of every job's transitions
                      (?topic= filters to one submission label)
-  POST   /subscriptions
-                     register a webhook {url, topic, job}; events POST
-                     to the url with retries on the worker-reconnect
-                     backoff schedule
-  GET    /subscriptions
-                     list webhooks + delivery stats (GET/DELETE
-                     /subscriptions/{id} inspects/cancels one)
   GET    /healthz    liveness + build info
   GET    /metrics    counters: requests, cache hit rate + bytes, tours,
                      p50/p99 latency, job queue depth and per-state
-                     counts, event/webhook delivery, cluster
+                     counts, event delivery, cluster
                      epochs/migrations
   GET    /cluster    the shard coordinator's fleet (coordinator only)
   GET    /traces     retained request traces, slowest first
@@ -128,7 +120,6 @@ flags:
 		JobExpiry:         *jobExpiry,
 		EventRing:         *eventRing,
 		SSEHeartbeat:      *sseHeart,
-		WebhookRetries:    *whRetries,
 		FaultComputeDelay: *faultDelay,
 		TraceRing:         *traceRing,
 		TraceSlowest:      *traceSlow,

@@ -328,9 +328,9 @@ func (q *Queue) Submit(fn Func) (*Job, error) {
 // SubmitTraced is Submit with a request trace ID and topic labels
 // attached to the job. The daemon passes the trace it opened for the
 // submission so the job's envelope can point back at GET /traces/{id};
-// every event the job publishes carries the labels, so per-topic
-// subscribers (an SSE /events?topic= stream, a webhook subscription) see
-// it. Neither influences the work or its result.
+// every event the job publishes carries the labels, so a per-topic
+// subscriber (an SSE /events?topic= stream) sees it. Neither influences
+// the work or its result.
 func (q *Queue) SubmitTraced(fn Func, traceID string, labels ...string) (*Job, error) {
 	q.mu.Lock()
 	if q.closed {

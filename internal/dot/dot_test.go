@@ -225,6 +225,26 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadRefusesBadWidths: a NaN, infinite or negative width is refused
+// with an error that names the node; width 0 keeps the default unit
+// width.
+func TestReadRefusesBadWidths(t *testing.T) {
+	for _, w := range []string{"NaN", "Inf", "-Inf", "+Inf", "-5"} {
+		src := `digraph { a; wide [width="` + w + `"]; a -> wide }`
+		_, err := ReadString(src)
+		if err == nil || !strings.Contains(err.Error(), `node "wide"`) {
+			t.Errorf("width=%s: error %v, want a refusal naming node \"wide\"", w, err)
+		}
+	}
+	n, err := ReadString(`digraph { a [width=0]; a -> b }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := n.Graph.Width(n.ID["a"]); w != 1 {
+		t.Errorf("width=0 reads as %g, want the unit width 1", w)
+	}
+}
+
 func TestWriteRead(t *testing.T) {
 	g := dag.New(4)
 	g.SetLabel(0, "start")

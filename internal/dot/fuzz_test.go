@@ -128,9 +128,10 @@ func FuzzReadEdgeListNamed(f *testing.F) {
 
 // FuzzRead is the DOT reader's harness for the /layer, /jobs and
 // `daglayer` entry points: whatever the bytes, Read returns an error or a
-// named graph whose Names and ID agree. When the names Write would emit
-// are unique, a Write → Read round trip keeps the vertex and edge counts,
-// every width and every edge by name.
+// named graph whose Names and ID agree and whose every width is finite
+// and >= 0. When the names Write would emit are unique, a Write → Read
+// round trip keeps the vertex and edge counts, every width and every edge
+// by name.
 func FuzzRead(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -139,7 +140,9 @@ func FuzzRead(f *testing.F) {
 		"digraph { \"\" -> a; b; }",              // empty name: written as v<N>
 		"digraph { a [label=b]; b; a -> b; }",    // label collides with a name
 		"digraph { a [width=\"NaN\"]; a -> b; }", // non-finite width
+		"digraph { a [width=\"-Inf\"]; }",
 		"digraph { a [width=-1]; }",
+		"digraph { a [width=0]; }",
 		"digraph { // comment\n a -> b; /* block */ # line\n }",
 		"digraph { node [shape=box]; a -> a; }", // self-loop
 		"digraph { a -> b; b -> a; }",           // cycle: allowed, not a DAG check
@@ -160,6 +163,9 @@ func FuzzRead(f *testing.F) {
 		for v, name := range n.Names {
 			if n.ID[name] != v {
 				t.Fatalf("vertex %d named %q, but ID[%q] = %d", v, name, name, n.ID[name])
+			}
+			if w := g.Width(v); !(w >= 0 && w <= math.MaxFloat64) {
+				t.Fatalf("vertex %q accepted with width %g", name, w)
 			}
 		}
 
@@ -187,7 +193,7 @@ func FuzzRead(f *testing.F) {
 			if !ok {
 				t.Fatalf("vertex %q lost in round trip", name)
 			}
-			if a, b := g.Width(v), h.Width(w); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
+			if a, b := g.Width(v), h.Width(w); a != b {
 				t.Fatalf("vertex %q: width %g, want %g", name, b, a)
 			}
 		}

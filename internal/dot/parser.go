@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -339,7 +340,7 @@ func (p *parser) statement(n *Named) error {
 			n.Graph.SetLabel(v, label)
 		}
 		if ws, ok := attrs["width"]; ok {
-			w, err := strconv.ParseFloat(ws, 64)
+			w, err := ParseWidth(ws)
 			if err != nil {
 				return fmt.Errorf("dot: bad width %q for node %q: %w", ws, name, err)
 			}
@@ -347,6 +348,18 @@ func (p *parser) statement(n *Named) error {
 		}
 	}
 	return nil
+}
+
+// ParseWidth reads a vertex or dummy-vertex width: a finite number >= 0.
+// NaN would drop its layer out of every width maximum, infinities break
+// the objective and the JSON answer, and a negative width has no meaning,
+// so all three are refused.
+func ParseWidth(s string) (float64, error) {
+	w, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(w >= 0 && w <= math.MaxFloat64) {
+		err = errors.New("want a finite number >= 0")
+	}
+	return w, err
 }
 
 func (p *parser) attrList() (map[string]string, error) {

@@ -3,6 +3,7 @@ package exact
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -129,6 +130,66 @@ func TestMinimizeLowerBoundsHeuristics(t *testing.T) {
 			t.Fatalf("negative gap %g: heuristic beat the proven optimum", g)
 		}
 	}
+}
+
+// TestColonyBetweenOptimumAndLPL is the differential property of the
+// colony on small graphs: at every seed and worker count, and again after
+// a 3-tour warm start from the cold run's exported State, the colony's
+// H+W (dummy width 1) is never below the proven optimum and never above
+// the LPL layering the colony is seeded with. The branch and bound is
+// exponential, and a few n=10 graphs take it millions of nodes; a graph
+// it cannot prove within the node limit is skipped, and at least 100
+// must be proven.
+func TestColonyBetweenOptimumAndLPL(t *testing.T) {
+	rng := rand.New(rand.NewSource(163))
+	ctx := context.Background()
+	proven := 0
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + rng.Intn(9)
+		g, err := graphgen.Generate(graphgen.Config{N: n, EdgeFactor: 1 + 1.5*rng.Float64(), Connected: true}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Minimize(g, Options{DummyWidth: 1, NodeLimit: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !opt.Proven {
+			continue
+		}
+		proven++
+		lpl, _ := longestpath.Layer(g)
+		lplHW := float64(lpl.Height()) + lpl.WidthIncludingDummies(1)
+		check := func(run string, res *core.Result) {
+			t.Helper()
+			hw := float64(res.Height) + res.Width
+			if hw < opt.Objective-1e-9 || hw > lplHW+1e-9 {
+				t.Fatalf("trial %d (n=%d m=%d), %s: H+W %g outside [optimum %g, LPL %g]",
+					trial, n, g.M(), run, hw, opt.Objective, lplHW)
+			}
+		}
+		for _, seed := range []int64{int64(trial), int64(1000 + trial)} {
+			for _, workers := range []int{1, 3} {
+				p := core.DefaultParams()
+				p.Seed, p.Workers, p.ExportState = seed, workers, true
+				cold, err := core.Run(ctx, g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("cold seed=%d workers=%d", seed, workers), cold)
+				p.Warm, p.Tours, p.ExportState = cold.State, 3, false
+				warm, err := core.Run(ctx, g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("warm seed=%d workers=%d", seed, workers), warm)
+			}
+		}
+	}
+	if proven < 100 {
+		t.Fatalf("only %d of 120 optima proven within the node limit, want >= 100", proven)
+	}
+	t.Logf("%d graphs proven and checked", proven)
 }
 
 func TestMinimizeTooLarge(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package retry holds the daemon's two back-off models: the delay
-// schedule a client waits out between attempts (worker reconnects,
-// webhook deliveries) and the Retry-After hint a saturated queue hands to
-// the clients it rejects (the job queue, the cluster run queue).
+// schedule a worker waits out between reconnect attempts and the
+// Retry-After hint a saturated queue hands to the clients it rejects
+// (the job queue, the cluster run queue).
 package retry
 
 import (

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// TestBackoffSchedule pins the schedule shared by worker reconnects and
-// webhook retries: doubling from base with deterministic jitter, capped
-// at max.
+// TestBackoffSchedule pins the worker-reconnect schedule: doubling from
+// base with deterministic jitter, capped at max.
 func TestBackoffSchedule(t *testing.T) {
 	base, max := 100*time.Millisecond, 5*time.Second
 	want := []time.Duration{

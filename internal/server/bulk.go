@@ -163,22 +163,26 @@ func (s *Server) bulkAdmit(ctx context.Context, body io.ReadCloser, results chan
 	}
 }
 
-// bulkSubmitLine parses one input line and admits it to the job queue.
-// It returns the admitted job, or (nil, an error result line) when the
-// line could not be admitted.
-func (s *Server) bulkSubmitLine(lineNo int, raw []byte) (*batch.Job, bulkResult) {
-	fail := func(format string, args ...any) (*batch.Job, bulkResult) {
-		return nil, bulkResult{Line: lineNo, State: string(batch.StateFailed), Error: fmt.Sprintf(format, args...)}
-	}
+// decodeBulkLine decodes one input line — JSON, then its query, then
+// prepare — into the call POST /layer would make of the same query and
+// graph, or the 400 or 413 rejection that refuses the line.
+func (s *Server) decodeBulkLine(raw []byte) (*call, *rejection) {
 	var bl bulkLine
 	if err := json.Unmarshal(raw, &bl); err != nil {
-		return fail("bad line: %v", err)
+		return nil, reject(http.StatusBadRequest, "bad line: %v", err)
 	}
 	query, err := url.ParseQuery(bl.Query)
 	if err != nil {
-		return fail("bad query: %v", err)
+		return nil, reject(http.StatusBadRequest, "bad query: %v", err)
 	}
-	c, rej := s.prepare(query, strings.NewReader(bl.Graph), nil)
+	return s.prepare(query, strings.NewReader(bl.Graph), nil)
+}
+
+// bulkSubmitLine decodes one input line and admits it to the job queue.
+// It returns the admitted job, or (nil, an error result line) when the
+// line could not be admitted.
+func (s *Server) bulkSubmitLine(lineNo int, raw []byte) (*batch.Job, bulkResult) {
+	c, rej := s.decodeBulkLine(raw)
 	var job *batch.Job
 	if rej == nil {
 		job, rej = s.submitJob(c, nil)

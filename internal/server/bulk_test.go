@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -190,6 +191,48 @@ func TestBulkBadMethodAndEmpty(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || len(lines) != 0 {
 		t.Fatalf("empty bulk answered %d with %v", resp2.StatusCode, lines)
 	}
+}
+
+// FuzzBulkLine: whatever the bytes, decoding a /jobs/bulk line yields
+// exactly one of a call or a rejection. A rejection is a 400 or 413 with
+// a message; an accepted line is keyed exactly as POST /layer keys the
+// same query and graph. Nothing is submitted, so nothing computes.
+func FuzzBulkLine(f *testing.F) {
+	for _, seed := range []string{
+		bulkBody([2]string{"seed=7&tours=3", demoDOT}),
+		"not json",
+		bulkBody([2]string{"seed=%zz", demoDOT}),
+		bulkBody([2]string{"format=edges&tours=1&ants=200000", bigEdgeList(100)}),
+		bulkBody([2]string{"algo=lpl", `digraph { a [width="NaN"]; b; c; a -> c; b -> c }`}),
+	} {
+		f.Add(strings.TrimSpace(seed))
+	}
+	s := New(Config{})
+	defer s.Close()
+	f.Fuzz(func(t *testing.T, raw string) {
+		c, rej := s.decodeBulkLine([]byte(raw))
+		if (c == nil) == (rej == nil) {
+			t.Fatalf("call %v and rejection %+v", c, rej)
+		}
+		if rej != nil {
+			if (rej.status != http.StatusBadRequest && rej.status != http.StatusRequestEntityTooLarge) || rej.msg == "" {
+				t.Fatalf("rejection %+v, want 400 or 413 with a message", rej)
+			}
+			return
+		}
+		var bl bulkLine
+		if err := json.Unmarshal([]byte(raw), &bl); err != nil {
+			t.Fatalf("line accepted but not JSON: %v", err)
+		}
+		u := url.URL{RawQuery: bl.Query}
+		layer, rej := s.prepare(u.Query(), strings.NewReader(bl.Graph), nil)
+		if rej != nil {
+			t.Fatalf("line accepted, /layer refuses it: %+v", rej)
+		}
+		if layer.key != c.key {
+			t.Fatalf("line keyed %s, /layer %s", c.key, layer.key)
+		}
+	})
 }
 
 // BenchmarkBulkIntake measures the bulk pipeline end to end over HTTP —

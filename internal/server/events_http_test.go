@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -9,7 +8,7 @@ import (
 )
 
 // The non-streaming edges of the push API: method discipline, bad resume
-// cursors, and subscription inspection.
+// cursors, and the absence of any other push path.
 
 func TestEventsEndpointMethodAndResumeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -45,58 +44,30 @@ func TestEventsEndpointMethodAndResumeErrors(t *testing.T) {
 	}
 }
 
-func TestSubscriptionGet(t *testing.T) {
+// TestSubscriptionRoutesGone: events leave the daemon only on SSE
+// streams and bulk responses, so no method on /subscriptions or
+// /subscriptions/{id} reaches a handler — not even a well-formed
+// registration.
+func TestSubscriptionRoutesGone(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-
-	body := strings.NewReader(`{"url":"http://127.0.0.1:9/hook","topic":"alpha"}`)
-	resp, err := http.Post(ts.URL+"/subscriptions", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created webhookInfo
-	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated || created.ID == "" {
-		t.Fatalf("create: status %d, info %+v", resp.StatusCode, created)
-	}
-
-	resp, err = http.Get(ts.URL + "/subscriptions/" + created.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET one: got %d (%s), want 200", resp.StatusCode, data)
-	}
-	var got webhookInfo
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != created.ID || got.URL != "http://127.0.0.1:9/hook" || got.Topic != "alpha" {
-		t.Fatalf("GET one: %+v", got)
-	}
-
-	for _, path := range []string{"/subscriptions/nope", "/subscriptions/a/b"} {
-		resp, err = http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/subscriptions", "/subscriptions/wh000001"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+			var body io.Reader
+			if method == http.MethodPost {
+				body = strings.NewReader(`{"url":"http://127.0.0.1:9/hook","topic":"alpha"}`)
+			}
+			req, err := http.NewRequest(method, ts.URL+path, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: got %d, want 404", method, path, resp.StatusCode)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s: got %d, want 404", path, resp.StatusCode)
-		}
-	}
-
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/subscriptions/"+created.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("PUT one: got %d, want 405", resp.StatusCode)
 	}
 }

@@ -67,13 +67,6 @@ const metricsGolden = `{
     "subscribers": 2,
     "ring_len": 90
   },
-  "webhooks": {
-    "subscriptions": 1,
-    "delivered": 40,
-    "retries": 3,
-    "failed": 1,
-    "dropped": 2
-  },
   "cluster": {
     "workers": 2,
     "idle_workers": 1,
@@ -156,9 +149,6 @@ func TestMetricsSnapshotGoldenShape(t *testing.T) {
 		Events: batch.EventStats{
 			Published: 90, LastSeq: 90, Dropped: 5, Subscribers: 2, RingLen: 90,
 		},
-		Webhooks: WebhookMetrics{
-			Subscriptions: 1, Delivered: 40, Retries: 3, Failed: 1, Dropped: 2,
-		},
 		Cluster: &shard.ClusterMetrics{
 			Workers: 2, IdleWorkers: 1, Runs: 7, RunErrors: 1,
 			RunsInFlight: 1, PeakConcurrentRuns: 2, RunsQueued: 1,
@@ -218,7 +208,7 @@ func TestLiveMetricsServeGoldenKeys(t *testing.T) {
 			"coalesced", "errors", "timeouts",
 			"tours_run", "in_flight", "latency_ms", "distributed_runs",
 			"distributed_fallbacks", "sse_streams", "sse_active",
-			"bulk_requests", "bulk_jobs", "jobs", "events", "webhooks", "runtime":
+			"bulk_requests", "bulk_jobs", "jobs", "events", "runtime":
 			want = append(want, key)
 		}
 	}

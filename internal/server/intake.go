@@ -105,8 +105,8 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 	if k := req.colonies(); k > 0 {
 		if est := core.ColonyMemoryBytes(g.N(), req.ACO); est > maxColonyBytes/int64(k) {
 			return nil, reject(http.StatusRequestEntityTooLarge,
-				"colony memory estimate %.4g MiB (n=%d, ants=%d, colonies=%d) exceeds the %d MiB limit",
-				float64(est)*float64(k)/(1<<20), g.N(), req.ACO.Ants, k, maxColonyBytes>>20)
+				"colony memory estimate %.4g MiB (n=%d, ants=%d, tours=%d, colonies=%d) exceeds the %d MiB limit",
+				float64(est)*float64(k)/(1<<20), g.N(), req.ACO.Ants, req.ACO.Tours, k, maxColonyBytes>>20)
 		}
 	}
 	return &call{req: req, g: g, names: names}, nil

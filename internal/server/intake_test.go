@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -47,6 +48,14 @@ func TestIntakeParity(t *testing.T) {
 		{"not a coordinator", "algo=island&distributed=true", demoDOT, http.StatusBadRequest,
 			"distributed=true but this daemon is not a coordinator (start it with -coordinator)"},
 		{"unparseable dot", "seed=1", "digraph { a -> ", http.StatusBadRequest, "bad dot input: "},
+		{"NaN node width", "algo=lpl", `digraph { a [width="NaN"]; b; c; a -> c; b -> c }`, http.StatusBadRequest,
+			`bad dot input: dot: bad width "NaN" for node "a": want a finite number >= 0`},
+		{"NaN dummy width", "algo=lpl&dummy-width=NaN", demoDOT, http.StatusBadRequest,
+			`bad request: query parameter dummy-width="NaN": want a finite number >= 0`},
+		{"infinite dummy width", "algo=lpl&dummy-width=Inf", demoDOT, http.StatusBadRequest,
+			`bad request: query parameter dummy-width="Inf": want a finite number >= 0`},
+		{"negative dummy width", "algo=lpl&dummy-width=-1", demoDOT, http.StatusBadRequest,
+			`bad request: query parameter dummy-width="-1": want a finite number >= 0`},
 	}
 	for _, c := range cases {
 		lresp, lbody := postRaw(t, ts, "/layer", c.query, c.graph)
@@ -141,9 +150,9 @@ func TestRequestKeysGolden(t *testing.T) {
 
 // TestPrepareBoundsColonyMemory: a request whose colonies would hold more
 // than maxColonyBytes is refused 413 before anything is allocated — a
-// wide graph under a tiny colony, a small graph under a huge one, and an
-// ant count that would overflow the estimate — while an ordinary island
-// request passes.
+// wide graph under a tiny colony, a small graph under a huge one, an ant
+// count that would overflow the estimate, and a tour count whose History
+// alone would — while an ordinary island request passes.
 func TestPrepareBoundsColonyMemory(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	cases := []struct {
@@ -153,6 +162,7 @@ func TestPrepareBoundsColonyMemory(t *testing.T) {
 		{"format=edges&tours=1&ants=2", bigEdgeList(6000), true},
 		{"format=edges&tours=1&ants=200000", bigEdgeList(100), true},
 		{"format=edges&ants=9223372036854775807", bigEdgeList(100), true},
+		{"algo=aco&ants=1&tours=2000000000&timeout-ms=120000&warm=false", "digraph { a -> b; b -> c; a -> c }", true},
 		{"format=edges&algo=island&islands=4", bigEdgeList(100), false},
 		{"format=edges&algo=lpl", bigEdgeList(6000), false},
 	}
@@ -190,7 +200,8 @@ func TestTimeoutSaturates(t *testing.T) {
 }
 
 // FuzzParseRequest: whatever the query, ParseRequest either refuses it
-// or returns a request inside the documented bounds.
+// or returns a request inside the documented bounds, a finite dummy width
+// >= 0 among them.
 func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -201,6 +212,10 @@ func FuzzParseRequest(f *testing.F) {
 		"algo=island&migration-interval=-3",
 		"algo=island&distributed=true&islands=6&tours=8&seed=42",
 		"format=edges&render=svg&promote=true&dummy-width=0.5",
+		"dummy-width=NaN",
+		"dummy-width=-Inf",
+		"dummy-width=-1",
+		"dummy-width=0",
 		"label=a&label=b&base=5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87",
 		"stall-tours=3&stop-stagnant=4&width-bound=2&warm=false",
 		"tuors=100",
@@ -225,6 +240,8 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("render %q accepted", req.Render)
 		case req.Islands < 0 || req.MigrationInterval < 0:
 			t.Fatalf("islands=%d migration-interval=%d accepted", req.Islands, req.MigrationInterval)
+		case !(req.DummyWidth >= 0 && req.DummyWidth <= math.MaxFloat64):
+			t.Fatalf("dummy width %g accepted from %q", req.DummyWidth, raw)
 		case req.Timeout < 0:
 			t.Fatalf("negative timeout %v from %q", req.Timeout, raw)
 		case len(req.Base) > 128 || len(req.Labels) > 8:

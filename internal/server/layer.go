@@ -52,10 +52,10 @@ type Request struct {
 	// Timeout, it is excluded from the cache key.
 	Distributed bool
 	// Labels are the job's topics on the async paths (/jobs, /jobs/bulk):
-	// every event the job publishes carries them, so topic subscribers
-	// (GET /events?topic=, webhook subscriptions) see it. They never
-	// influence the computation or its body, so — like Timeout — they are
-	// excluded from the cache key. Ignored by the synchronous /layer.
+	// every event the job publishes carries them, so a topic stream
+	// (GET /events?topic=) sees it. They never influence the computation
+	// or its body, so — like Timeout — they are excluded from the cache
+	// key. Ignored by the synchronous /layer.
 	Labels  []string
 	Timeout time.Duration // 0 = server default
 	// Warm permits the server's warm-start fast path for this request
@@ -128,7 +128,7 @@ func ParseRequest(q url.Values) (Request, error) {
 		case "render":
 			req.Render = RenderMode(v)
 		case "dummy-width":
-			req.DummyWidth, err = strconv.ParseFloat(v, 64)
+			req.DummyWidth, err = dot.ParseWidth(v)
 		case "cg-width":
 			req.CGWidth, err = strconv.Atoi(v)
 		case "ants":

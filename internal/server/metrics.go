@@ -117,9 +117,6 @@ type MetricsSnapshot struct {
 	// Events summarises the push layer: transitions published, the newest
 	// sequence number, subscriber-side drops, and the replay ring.
 	Events batch.EventStats `json:"events"`
-	// Webhooks summarises registered webhook subscriptions and their
-	// delivery counters.
-	Webhooks WebhookMetrics `json:"webhooks"`
 	// Cluster is the shard coordinator's snapshot — fleet size, runs,
 	// epochs, migrations, per-shard epoch latency. Present only on a
 	// coordinator daemon.
@@ -136,7 +133,7 @@ type LatencyQuantile struct {
 	P99   float64 `json:"p99"`
 }
 
-func (m *serverMetrics) snapshot(cacheEntries int, cacheBytes, cacheOversize int64, warmEntries int, warmBytes int64, jobs batch.Stats, events batch.EventStats, webhooks WebhookMetrics, cluster *shard.ClusterMetrics, rt obs.RuntimeStats) MetricsSnapshot {
+func (m *serverMetrics) snapshot(cacheEntries int, cacheBytes, cacheOversize int64, warmEntries int, warmBytes int64, jobs batch.Stats, events batch.EventStats, cluster *shard.ClusterMetrics, rt obs.RuntimeStats) MetricsSnapshot {
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	rate := 0.0
 	if hits+misses > 0 {
@@ -172,7 +169,6 @@ func (m *serverMetrics) snapshot(cacheEntries int, cacheBytes, cacheOversize int
 		BulkJobs:             m.bulkJobs.Load(),
 		Jobs:                 jobs,
 		Events:               events,
-		Webhooks:             webhooks,
 		Cluster:              cluster,
 		Runtime:              rt,
 	}

@@ -114,17 +114,6 @@ func writeProm(w io.Writer, m MetricsSnapshot) error {
 	p.Family("daglayer_event_ring_len", "gauge", "Events the replay ring retains.")
 	p.Value("daglayer_event_ring_len", float64(m.Events.RingLen))
 
-	p.Family("daglayer_webhook_subscriptions", "gauge", "Registered webhook subscriptions.")
-	p.Value("daglayer_webhook_subscriptions", float64(m.Webhooks.Subscriptions))
-	p.Family("daglayer_webhook_delivered_total", "counter", "Webhook deliveries that got a 2xx.")
-	p.Value("daglayer_webhook_delivered_total", float64(m.Webhooks.Delivered))
-	p.Family("daglayer_webhook_retries_total", "counter", "Webhook delivery retries.")
-	p.Value("daglayer_webhook_retries_total", float64(m.Webhooks.Retries))
-	p.Family("daglayer_webhook_failed_total", "counter", "Webhook deliveries abandoned after retries.")
-	p.Value("daglayer_webhook_failed_total", float64(m.Webhooks.Failed))
-	p.Family("daglayer_webhook_dropped_total", "counter", "Webhook events dropped by full delivery buffers.")
-	p.Value("daglayer_webhook_dropped_total", float64(m.Webhooks.Dropped))
-
 	p.Family("daglayer_goroutines", "gauge", "Goroutines currently live.")
 	p.Value("daglayer_goroutines", float64(m.Runtime.Goroutines))
 	p.Family("daglayer_heap_alloc_bytes", "gauge", "Bytes of live heap objects.")

@@ -33,6 +33,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -100,9 +101,6 @@ type Config struct {
 	// event streams, keeping proxies from reaping the connection.
 	// Default 15s.
 	SSEHeartbeat time.Duration
-	// WebhookRetries bounds delivery attempts per webhook event (the
-	// first try plus retries). 0 means 4.
-	WebhookRetries int
 	// FaultComputeDelay is a test-only fault hook: every computation (a
 	// /layer miss or a job picked up by a worker) sleeps this long before
 	// running the colony. The chaos harness uses it to make latency and
@@ -180,9 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.SSEHeartbeat <= 0 {
 		c.SSEHeartbeat = 15 * time.Second
 	}
-	if c.WebhookRetries <= 0 {
-		c.WebhookRetries = 4
-	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
 	}
@@ -203,12 +198,11 @@ type Server struct {
 	// warm is the warm-start state cache (nil when disabled): prior
 	// colony states keyed by canonical graph hash, probed by vertex-name
 	// similarity. See warm.go.
-	warm     *warmCache
-	flights  *flightGroup
-	metrics  *serverMetrics
-	jobs     *batch.Queue
-	webhooks *webhookManager
-	tracer   *obs.Tracer
+	warm    *warmCache
+	flights *flightGroup
+	metrics *serverMetrics
+	jobs    *batch.Queue
+	tracer  *obs.Tracer
 	// slots holds one token per in-process computation (MaxConcurrent).
 	slots chan struct{}
 	mux   *http.ServeMux
@@ -244,15 +238,12 @@ func New(cfg Config) *Server {
 	if cfg.WarmCacheBytes > 0 {
 		s.warm = newWarmCache(cfg.WarmCacheBytes)
 	}
-	s.webhooks = newWebhookManager(s)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/layer", s.handleLayer)
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/jobs/bulk", s.handleBulk)
 	s.mux.HandleFunc("/jobs/", s.handleJob)
 	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/subscriptions", s.handleSubscriptions)
-	s.mux.HandleFunc("/subscriptions/", s.handleSubscription)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/cluster", s.handleCluster)
@@ -272,13 +263,12 @@ func New(cfg Config) *Server {
 }
 
 // Close releases the server's background resources — the job queue's
-// worker pool (cancelling whatever is queued or running), the webhook
-// delivery goroutines, and every open SSE stream. Serve calls it during
-// graceful shutdown; call it directly when using Handler without Serve.
+// worker pool (cancelling whatever is queued or running) and every open
+// SSE stream. Serve calls it during graceful shutdown; call it directly
+// when using Handler without Serve.
 func (s *Server) Close() {
 	s.shutdownOnce.Do(func() { close(s.shutdownCh) })
 	s.jobs.Close()
-	s.webhooks.Close()
 }
 
 // Handler returns the daemon's HTTP handler (for tests and embedding).
@@ -346,7 +336,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	}
 	cacheBytes, cacheOversize := s.cache.Bytes()
 	warmEntries, warmBytes := s.warm.stats()
-	return s.metrics.snapshot(s.cache.Len(), cacheBytes, cacheOversize, warmEntries, warmBytes, s.jobs.Stats(), s.jobs.Events().Stats(), s.webhooks.Metrics(), cluster, obs.ReadRuntime())
+	return s.metrics.snapshot(s.cache.Len(), cacheBytes, cacheOversize, warmEntries, warmBytes, s.jobs.Stats(), s.jobs.Events().Stats(), cluster, obs.ReadRuntime())
 }
 
 // log returns the structured logger (never nil).
@@ -390,6 +380,17 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.cfg.Coordinator.Metrics())
+}
+
+// writeJSON answers code with v rendered as indented JSON — the one
+// writer behind every JSON document the daemon serves except /layer
+// bodies.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // httpError answers status with a plain-text message and counts it.

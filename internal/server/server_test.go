@@ -33,15 +33,11 @@ func bigEdgeList(n int) string {
 	return b.String()
 }
 
-// newTestServer starts a Server on a loopback listener. Each tweak runs
-// on the Server before it serves its first request, which is how tests
-// reach the unexported test seams.
-func newTestServer(t *testing.T, cfg Config, tweaks ...func(*Server)) (*Server, *httptest.Server) {
+// newTestServer starts a Server built from cfg on a loopback listener
+// and closes both when the test ends.
+func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
-	for _, tweak := range tweaks {
-		tweak(s)
-	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	// httptest.Close stops the listener but not the job-queue workers
@@ -355,7 +351,7 @@ func TestShutdownAbortsInFlightWith503(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(url+"/layer?format=edges&tours=100000000&ants=8&timeout-ms=60000",
+		resp, err := http.Post(url+"/layer?format=edges&tours=1000000&ants=8&timeout-ms=60000",
 			"text/plain", strings.NewReader(bigEdgeList(300)))
 		if err != nil {
 			resc <- result{err: err}
