@@ -10,11 +10,14 @@ package dot
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"antlayer/internal/dag"
 )
@@ -162,16 +165,29 @@ func WriteEdgeList(w io.Writer, g *dag.Graph) error {
 const MaxEdgeListVertices = 1 << 22
 
 // ReadEdgeList parses the edge-list format written by WriteEdgeList.
+//
+// Every non-blank line that does not start with '#' (after trimming
+// Unicode space) is read as fmt.Sscanf(line, "%d %d") reads it, without
+// fmt: an optional sign and ASCII digits, at least one space rune, an
+// optional sign and digits, and anything after the second number
+// ignored; a value outside int is refused. The first such line is the
+// header "n m", each of the next m an edge "u v".
 func ReadEdgeList(r io.Reader) (*dag.Graph, error) {
+	return readEdgeList(r, nil)
+}
+
+func readEdgeList(r io.Reader, admit func(n int) error) (*dag.Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	// The buffer starts at bufio's 4 KiB and grows on demand up to the
+	// 4 MiB line cap.
+	sc.Buffer(nil, 1<<22)
 	line, err := nextLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("dot: edge list header: %w", err)
 	}
-	var n, m int
-	if _, err := fmt.Sscanf(line, "%d %d", &n, &m); err != nil {
-		return nil, fmt.Errorf("dot: bad edge list header %q: %w", line, err)
+	n, m, ok := scanPair(line)
+	if !ok {
+		return nil, fmt.Errorf("dot: bad edge list header %q: %w", line, pairError(line))
 	}
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("dot: negative counts in header %q", line)
@@ -182,15 +198,20 @@ func ReadEdgeList(r io.Reader) (*dag.Graph, error) {
 	if max := n * (n - 1) / 2; m > max {
 		return nil, fmt.Errorf("dot: header claims %d edges, simple-DAG maximum for n=%d is %d", m, n, max)
 	}
+	if admit != nil {
+		if err := admit(n); err != nil {
+			return nil, err
+		}
+	}
 	g := dag.New(n)
 	for i := 0; i < m; i++ {
 		line, err := nextLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("dot: edge %d/%d: %w", i+1, m, err)
 		}
-		var u, v int
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
-			return nil, fmt.Errorf("dot: bad edge line %q: %w", line, err)
+		u, v, ok := scanPair(line)
+		if !ok {
+			return nil, fmt.Errorf("dot: bad edge line %q: %w", line, pairError(line))
 		}
 		if err := g.AddEdge(u, v); err != nil {
 			return nil, err
@@ -202,38 +223,98 @@ func ReadEdgeList(r io.Reader) (*dag.Graph, error) {
 // ReadEdgeListNamed is ReadEdgeList plus the v<N> name synthesis shared
 // by every consumer that renders or reports vertices: edge lists carry no
 // names, so vertex v is named (and labelled) "v<N>", the same fallback
-// Write uses.
-func ReadEdgeListNamed(r io.Reader) (*dag.Graph, []string, error) {
-	g, err := ReadEdgeList(r)
+// Write uses. admit, when non-nil, sees the vertex count of a valid
+// header before anything is allocated for it; an error from admit is
+// returned as it is.
+func ReadEdgeListNamed(r io.Reader, admit func(n int) error) (*dag.Graph, []string, error) {
+	g, err := readEdgeList(r, admit)
 	if err != nil {
 		return nil, nil, err
 	}
 	names := make([]string, g.N())
 	for v := range names {
-		names[v] = fmt.Sprintf("v%d", v)
+		names[v] = "v" + strconv.Itoa(v)
 		g.SetLabel(v, names[v])
 	}
 	return g, names, nil
 }
 
-// nextLine returns the next non-blank, non-comment line. A read error
-// (say an http.MaxBytesError) is returned as soon as the scanner has hit
-// it, before the line it may have cut short is parsed.
-func nextLine(sc *bufio.Scanner) (string, error) {
+// nextLine returns the next non-blank, non-comment line, trimmed. A read
+// error (say an http.MaxBytesError) is returned as soon as the scanner
+// has hit it, before the line it may have cut short is parsed.
+func nextLine(sc *bufio.Scanner) ([]byte, error) {
 	for sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return "", err
+			return nil, err
 		}
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
+		s := bytes.TrimSpace(sc.Bytes())
+		if len(s) == 0 || s[0] == '#' {
 			continue
 		}
 		return s, nil
 	}
 	if err := sc.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return "", io.ErrUnexpectedEOF
+	return nil, io.ErrUnexpectedEOF
+}
+
+// scanPair reads two integers from line, accepting exactly what
+// fmt.Sscanf(string(line), "%d %d") accepts: see ReadEdgeList.
+func scanPair(line []byte) (a, b int, ok bool) {
+	a, rest, ok := scanInt(line)
+	if !ok || spaceLen(rest) == 0 {
+		return 0, 0, false
+	}
+	b, _, ok = scanInt(rest)
+	return a, b, ok
+}
+
+// spaceLen is the byte length of the space rune b starts with, 0 if it
+// starts with none. fmt's scanner and unicode.IsSpace share one set of
+// space runes.
+func spaceLen(b []byte) int {
+	if len(b) == 0 {
+		return 0
+	}
+	r, size := rune(b[0]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRune(b)
+	}
+	if unicode.IsSpace(r) {
+		return size
+	}
+	return 0
+}
+
+// scanInt skips leading space runes, then reads an optional sign and at
+// least one ASCII digit as an int, returning the bytes after them.
+func scanInt(b []byte) (int, []byte, bool) {
+	for n := spaceLen(b); n > 0; n = spaceLen(b) {
+		b = b[n:]
+	}
+	i := 0
+	if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		i++
+	}
+	digits := i
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	if i == digits {
+		return 0, nil, false
+	}
+	v, err := strconv.Atoi(string(b[:i]))
+	return v, b[i:], err == nil
+}
+
+// pairError is the error fmt.Sscanf reports for a line scanPair refused:
+// the refusal path alone formats through fmt, so a rejected line keeps
+// the words it always had.
+func pairError(line []byte) error {
+	var a, b int
+	_, err := fmt.Sscanf(string(line), "%d %d", &a, &b)
+	return err
 }
 
 // SortedNames returns the node names sorted; useful for deterministic tests.

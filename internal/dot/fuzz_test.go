@@ -1,10 +1,13 @@
 package dot
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,10 +63,13 @@ func TestEdgeListNeverPanics(t *testing.T) {
 // FuzzReadEdgeListNamed mirrors the DOT soup harness for the edge-list
 // reader guarding the /layer, /jobs and `daglayer batch` entry points:
 // whatever the bytes, the reader must return a clean error or a
-// well-formed named graph, never panic. The seed corpus walks the
+// well-formed named graph, never panic — and exactly what the fmt-based
+// reader it replaced returns (oracleReadEdgeListNamed): the same n and
+// edge sequence, or the same error text. The seed corpus walks the
 // documented failure modes — malformed lines, truncated bodies, duplicate
 // edges and self-loops (which must error: dag.Graph rejects both), header
-// lies — so plain `go test` already exercises each rejection path, and
+// lies — and the corners of fmt's "%d %d" grammar, so plain `go test`
+// already exercises each rejection path, and
 // `go test -fuzz=FuzzReadEdgeListNamed` explores from there.
 func FuzzReadEdgeListNamed(f *testing.F) {
 	for _, seed := range []string{
@@ -79,11 +85,38 @@ func FuzzReadEdgeListNamed(f *testing.F) {
 		"99999999999999999999 1\n", // header overflow
 		"3 2\n2 one\n1 0\n",        // non-numeric endpoint
 		"x y\n",                    // non-numeric header
+		// fmt accepts these: trailing bytes after the second number are
+		// ignored, a sign is allowed, and any Unicode space separates.
+		"3 1\n1 2 3\n",
+		"3 1\n1 2x\n",
+		"3 1\n1 0x2\n",
+		"3 1\n+1 2\n",
+		"3 1\n1\t2\n",
+		"3 1\n1\u00a02\n",
+		"3 1\n1\r2\n",
+		"3\u30001\n2 0\n",
+		// fmt refuses these: base prefixes, underscores, no space (also
+		// before a sign), one number, and a value outside int.
+		"3 1\n0x1 2\n",
+		"3 1\n1_0 2\n",
+		"3 1\n1,2\n",
+		"2 1\n1+0\n",
+		"3 1\n1\n",
+		"3 1\n12345678901234567890 2\n",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		g, names, err := ReadEdgeListNamed(strings.NewReader(data))
+		g, names, err := ReadEdgeListNamed(strings.NewReader(data), nil)
+		og, onames, oerr := oracleReadEdgeListNamed(strings.NewReader(data))
+		switch {
+		case (err == nil) != (oerr == nil):
+			t.Fatalf("error %v, the fmt reader's %v", err, oerr)
+		case err != nil && err.Error() != oerr.Error():
+			t.Fatalf("error %q, the fmt reader's %q", err, oerr)
+		case err == nil && (g.N() != og.N() || !slices.Equal(g.Edges(), og.Edges()) || !slices.Equal(names, onames)):
+			t.Fatalf("n=%d edges %v, the fmt reader's n=%d edges %v", g.N(), g.Edges(), og.N(), og.Edges())
+		}
 		if err != nil {
 			if g != nil || names != nil {
 				t.Fatalf("error %v alongside non-nil graph/names", err)
@@ -124,6 +157,76 @@ func FuzzReadEdgeListNamed(f *testing.F) {
 			t.Fatalf("round trip: n=%d m=%d, want n=%d m=%d", h.N(), h.M(), g.N(), g.M())
 		}
 	})
+}
+
+// oracleReadEdgeListNamed is the fmt.Sscanf-based edge-list reader
+// ReadEdgeListNamed replaced, kept verbatim as FuzzReadEdgeListNamed's
+// reference for what the format accepts and the words it refuses with.
+func oracleReadEdgeListNamed(r io.Reader) (*dag.Graph, []string, error) {
+	g, err := oracleReadEdgeList(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	names := make([]string, g.N())
+	for v := range names {
+		names[v] = fmt.Sprintf("v%d", v)
+		g.SetLabel(v, names[v])
+	}
+	return g, names, nil
+}
+
+func oracleReadEdgeList(r io.Reader) (*dag.Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	line, err := oracleNextLine(sc)
+	if err != nil {
+		return nil, fmt.Errorf("dot: edge list header: %w", err)
+	}
+	var n, m int
+	if _, err := fmt.Sscanf(line, "%d %d", &n, &m); err != nil {
+		return nil, fmt.Errorf("dot: bad edge list header %q: %w", line, err)
+	}
+	if n < 0 || m < 0 {
+		return nil, fmt.Errorf("dot: negative counts in header %q", line)
+	}
+	if n > MaxEdgeListVertices {
+		return nil, fmt.Errorf("dot: header claims %d vertices, limit %d", n, MaxEdgeListVertices)
+	}
+	if max := n * (n - 1) / 2; m > max {
+		return nil, fmt.Errorf("dot: header claims %d edges, simple-DAG maximum for n=%d is %d", m, n, max)
+	}
+	g := dag.New(n)
+	for i := 0; i < m; i++ {
+		line, err := oracleNextLine(sc)
+		if err != nil {
+			return nil, fmt.Errorf("dot: edge %d/%d: %w", i+1, m, err)
+		}
+		var u, v int
+		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
+			return nil, fmt.Errorf("dot: bad edge line %q: %w", line, err)
+		}
+		if err := g.AddEdge(u, v); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+func oracleNextLine(sc *bufio.Scanner) (string, error) {
+	for sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return "", err
+		}
+		s := strings.TrimSpace(sc.Text())
+		if s == "" || strings.HasPrefix(s, "#") {
+			continue
+		}
+		return s, nil
+	}
+	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	return "", io.ErrUnexpectedEOF
 }
 
 // FuzzRead is the DOT reader's harness for the /layer, /jobs and

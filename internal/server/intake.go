@@ -56,9 +56,28 @@ func reject(status int, format string, args ...any) *rejection {
 	return &rejection{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
+// Error lets a rejection travel as the error of a check the graph
+// reader runs, so parse can answer it unchanged.
+func (r *rejection) Error() string { return r.msg }
+
 // maxColonyBytes bounds one request's colonies: core.ColonyMemoryBytes
 // times the colony count, which grows with n² from a small body.
 const maxColonyBytes = 256 << 20
+
+// colonyBound refuses 413 when the request's colonies over n vertices
+// would hold more than maxColonyBytes; nil admits them.
+func colonyBound(req Request, n int) *rejection {
+	k := req.colonies()
+	if k == 0 {
+		return nil
+	}
+	if est := core.ColonyMemoryBytes(n, req.ACO); est > maxColonyBytes/int64(k) {
+		return reject(http.StatusRequestEntityTooLarge,
+			"colony memory estimate %.4g MiB (n=%d, ants=%d, tours=%d, colonies=%d) exceeds the %d MiB limit",
+			float64(est)*float64(k)/(1<<20), n, req.ACO.Ants, req.ACO.Tours, k, maxColonyBytes>>20)
+	}
+	return nil
+}
 
 // prepare parses a request's query and graph, refuses distributed=true on
 // a daemon that is not a coordinator, hashes the graph once for both
@@ -94,20 +113,27 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 	if req.Distributed && s.cfg.Coordinator == nil {
 		return nil, reject(http.StatusBadRequest, "distributed=true but this daemon is not a coordinator (start it with -coordinator)")
 	}
-	g, names, err := ParseGraph(req, body)
+	// An edge list is bounded at its header, before a vertex of it is
+	// allocated; a DOT graph once it is parsed.
+	g, names, err := parseGraph(req, body, func(n int) error {
+		if rej := colonyBound(req, n); rej != nil {
+			return rej
+		}
+		return nil
+	})
 	if err != nil {
+		var rej *rejection
+		if errors.As(err, &rej) {
+			return nil, rej
+		}
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return nil, reject(http.StatusRequestEntityTooLarge, "graph larger than %d bytes", tooLarge.Limit)
 		}
 		return nil, reject(http.StatusBadRequest, "bad %s input: %v", req.Format, err)
 	}
-	if k := req.colonies(); k > 0 {
-		if est := core.ColonyMemoryBytes(g.N(), req.ACO); est > maxColonyBytes/int64(k) {
-			return nil, reject(http.StatusRequestEntityTooLarge,
-				"colony memory estimate %.4g MiB (n=%d, ants=%d, tours=%d, colonies=%d) exceeds the %d MiB limit",
-				float64(est)*float64(k)/(1<<20), g.N(), req.ACO.Ants, req.ACO.Tours, k, maxColonyBytes>>20)
-		}
+	if rej := colonyBound(req, g.N()); rej != nil {
+		return nil, rej
 	}
 	return &call{req: req, g: g, names: names}, nil
 }

@@ -8,9 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"antlayer"
+	"antlayer/internal/dot"
+	"antlayer/internal/graphgen"
 )
 
 // postRaw POSTs body to path?query and returns the status and the raw
@@ -28,6 +34,13 @@ func postRaw(t *testing.T, ts *httptest.Server, path, query, body string) (*http
 	}
 	return resp, data
 }
+
+// wideDOT puts two vertices whose widths sum past maxWidthSum on one
+// layer, and wideMsg is its refusal.
+const (
+	wideDOT = `digraph { a [width=1e308]; b [width=1e308]; }`
+	wideMsg = "bad dot input: vertex widths plus dummy-width*n*m sum to 2e+308, above the bound 1e+300"
+)
 
 // TestIntakeParity feeds the same inputs to the three intake paths —
 // POST /layer, POST /jobs and a /jobs/bulk line — which share one
@@ -56,6 +69,17 @@ func TestIntakeParity(t *testing.T) {
 			`bad request: query parameter dummy-width="Inf": want a finite number >= 0`},
 		{"negative dummy width", "algo=lpl&dummy-width=-1", demoDOT, http.StatusBadRequest,
 			`bad request: query parameter dummy-width="-1": want a finite number >= 0`},
+		// Finite widths whose sum overflows: unrefused, each of these would
+		// compute and then fail on a +Inf width or a zero objective...
+		{"width sum lpl", "algo=lpl", wideDOT, http.StatusBadRequest, wideMsg},
+		{"width sum aco", "algo=aco", wideDOT, http.StatusBadRequest, wideMsg},
+		{"width sum island", "algo=island", wideDOT, http.StatusBadRequest, wideMsg},
+		{"dummy width sum", "algo=lpl&dummy-width=1e308", "digraph { a -> b; b -> c; a -> c; d -> b; d -> c }", http.StatusBadRequest,
+			"bad dot input: vertex widths plus dummy-width*n*m sum to 2e+309, above the bound 1e+300"},
+		// ...and the bound sees the graph, not the layering: without a
+		// long edge, no dummy is drawn, yet the request is refused.
+		{"dummy width sum, no long edge", "format=edges&algo=lpl&dummy-width=1e308", "3 2\n1 0\n2 1\n", http.StatusBadRequest,
+			"bad edges input: vertex widths plus dummy-width*n*m sum to 6e+308, above the bound 1e+300"},
 	}
 	for _, c := range cases {
 		lresp, lbody := postRaw(t, ts, "/layer", c.query, c.graph)
@@ -126,25 +150,39 @@ func TestIntakeParityGoodInput(t *testing.T) {
 	}
 }
 
-// TestRequestKeysGolden pins the cache and graph keys one fixed request is
-// served under. Clients send X-Graph-Key back as base=, and cached bodies
-// are filed under X-Cache-Key, so the key scheme is a compatibility
-// contract: a change to how keys are derived shows up here.
+// TestRequestKeysGolden pins the cache and graph keys fixed requests are
+// served under: a DOT island request, an edge list, and an aco request
+// with every key-relevant knob off its default. Clients send X-Graph-Key
+// back as base=, and cached bodies are filed under X-Cache-Key, so the
+// key scheme is a compatibility contract: a change to how keys are
+// derived shows up here.
 func TestRequestKeysGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postRaw(t, ts, "/layer", "seed=3&tours=5&algo=island&islands=2", demoDOT)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/layer answered %d: %s", resp.StatusCode, body)
+	cases := []struct {
+		name, query, graph   string
+		wantCache, wantGraph string
+	}{
+		{"dot island", "seed=3&tours=5&algo=island&islands=2", demoDOT,
+			"7a06fb9174a9ff827dad04e65181b2023e3870fd62b423655617e524b5147da8",
+			"5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87"},
+		{"edge list", "format=edges&warm=false&seed=7", "6 6\n1 0\n2 0\n3 1\n4 1\n5 2\n5 4\n",
+			"2d68e8fef0a1631eefeb48931eb88dfa259b3605980ce654d7b5450b046e03fb",
+			"e394dff5efefd24f57ae4cd5cc5a15efcdcb0efd5d21ac5ab74f4e8613a04ea5"},
+		{"aco knobs", "alpha=1.5&beta=2.5&stall-tours=3&width-bound=7.5&dummy-width=0.5&cg-width=3&promote=true&render=ascii&seed=-9", demoDOT,
+			"b146086861bcce2f10d7726ae891735a86d48ae85d2427044f76908c389e904a",
+			"5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87"},
 	}
-	const (
-		wantCache = "7a06fb9174a9ff827dad04e65181b2023e3870fd62b423655617e524b5147da8"
-		wantGraph = "5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87"
-	)
-	if got := resp.Header.Get("X-Cache-Key"); got != wantCache {
-		t.Errorf("X-Cache-Key = %s, want %s", got, wantCache)
-	}
-	if got := resp.Header.Get("X-Graph-Key"); got != wantGraph {
-		t.Errorf("X-Graph-Key = %s, want %s", got, wantGraph)
+	for _, c := range cases {
+		resp, body := postRaw(t, ts, "/layer", c.query, c.graph)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /layer answered %d: %s", c.name, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Cache-Key"); got != c.wantCache {
+			t.Errorf("%s: X-Cache-Key = %s, want %s", c.name, got, c.wantCache)
+		}
+		if got := resp.Header.Get("X-Graph-Key"); got != c.wantGraph {
+			t.Errorf("%s: X-Graph-Key = %s, want %s", c.name, got, c.wantGraph)
+		}
 	}
 }
 
@@ -180,6 +218,55 @@ func TestPrepareBoundsColonyMemory(t *testing.T) {
 		case !c.refused && rej != nil:
 			t.Errorf("%s: refused: %+v", c.query, rej)
 		}
+	}
+}
+
+// TestPrepareBoundsAtHeader: an edge list whose header alone breaks the
+// colony bound is refused at the header — with the 413 the built graph
+// would get — before a vertex of it is allocated. Building the graph
+// first would cost this 10-byte body 4M vertices and their names, some
+// 400 MB.
+func TestPrepareBoundsAtHeader(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, rej := s.prepare(url.Values{"format": {"edges"}}, strings.NewReader("4194304 0\n"), nil)
+	runtime.ReadMemStats(&after)
+	const want = "colony memory estimate 2.684e+08 MiB (n=4194304, ants=10, tours=10, colonies=1) exceeds the 256 MiB limit"
+	if rej == nil || rej.status != http.StatusRequestEntityTooLarge || rej.msg != want {
+		t.Fatalf("rejection %+v, want 413 %q", rej, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing the header allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// TestGraphKeyStreams: graphKey streams the key text into the hash
+// instead of building it whole, so keying a graph allocates a few KiB
+// however large it is, and the streamed key is still the fmt one. The
+// text here is some 2.6 MB.
+func TestGraphKeyStreams(t *testing.T) {
+	const n = 1 << 16
+	g := antlayer.NewGraph(n)
+	names := make([]string, n)
+	for v := range n {
+		names[v] = "v" + strconv.Itoa(v)
+		if v > 0 {
+			if err := g.AddEdge(v-1, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := graphKey(g, names)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 256<<10 {
+		t.Errorf("keying n=%d allocated %d bytes, want < 256 KiB", n, alloc)
+	}
+	if want := oracleGraphKey(g, names); got != want {
+		t.Errorf("graphKey %s, fmt %s", got, want)
 	}
 }
 
@@ -253,4 +340,57 @@ func FuzzParseRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkIntake measures prepare — query, graph decode, both keys and
+// the warm plan — on the two bodies the ledger's request-bound workloads
+// send: the 424-byte n=55 corpus edge list under hot-repeat's query, and
+// an n=60 edit-chain DOT body under edit-stream's algorithm.
+func BenchmarkIntake(b *testing.B) {
+	groups, err := graphgen.CorpusSample(7, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var edges bytes.Buffer
+	for _, gr := range groups {
+		if gr.Vertices == 55 {
+			if err := dot.WriteEdgeList(&edges, gr.Graphs[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	chain, names, err := graphgen.DeltaChain(7, 60, 1, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := chain[0].Clone()
+	for v, name := range names[0] {
+		g.SetLabel(v, "c0_"+name)
+	}
+	var dotBody bytes.Buffer
+	if err := dot.Write(&dotBody, g, "G"); err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{})
+	defer s.Close()
+	for _, c := range []struct {
+		name, query string
+		body        []byte
+	}{
+		{"edges", "format=edges&warm=false&seed=117440512", edges.Bytes()},
+		{"dot", "algo=aco&warm=false", dotBody.Bytes()},
+	} {
+		q, err := url.ParseQuery(c.query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, rej := s.prepare(q, bytes.NewReader(c.body), nil); rej != nil {
+					b.Fatalf("refused: %+v", rej)
+				}
+			}
+		})
+	}
 }

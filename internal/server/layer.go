@@ -9,8 +9,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -223,14 +224,52 @@ func ParseRequest(q url.Values) (Request, error) {
 
 // ParseGraph decodes a graph in the request's format, returning the graph
 // and a per-vertex name slice (synthesised v<N> names for edge lists,
-// which carry none).
+// which carry none). It refuses a graph whose vertex widths plus
+// dummy-width·n·m sum above maxWidthSum.
 func ParseGraph(req Request, body io.Reader) (*antlayer.Graph, []string, error) {
+	return parseGraph(req, body, nil)
+}
+
+// maxWidthSum bounds Σ w(v) + dummy-width·n·m, and with it every layer
+// width, every Δ of a move and H+W, so that none of them overflows to
+// +Inf (which would fail the JSON body) or drives the colony's objective
+// 1/(H+W) to 0.
+const maxWidthSum = 1e300
+
+// parseGraph is ParseGraph with an edge-list header check: admit, when
+// non-nil, sees the header's vertex count before the graph is allocated
+// (dot.ReadEdgeListNamed).
+func parseGraph(req Request, body io.Reader, admit func(n int) error) (*antlayer.Graph, []string, error) {
+	var (
+		g     *antlayer.Graph
+		names []string
+		err   error
+	)
 	switch req.Format {
 	case "edges":
-		return dot.ReadEdgeListNamed(body)
+		g, names, err = dot.ReadEdgeListNamed(body, admit)
 	default: // "dot", enforced by ParseRequest
-		return antlayer.ReadDOT(body)
+		g, names, err = antlayer.ReadDOT(body)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	sum := req.DummyWidth * float64(g.N()) * float64(g.M())
+	for v := range g.N() {
+		sum += g.Width(v)
+	}
+	if !(sum <= maxWidthSum) {
+		// Recount without overflow for the message: the float64 sum may
+		// have reached +Inf.
+		exact := new(big.Float).SetFloat64(req.DummyWidth)
+		exact.Mul(exact, big.NewFloat(float64(g.N())))
+		exact.Mul(exact, big.NewFloat(float64(g.M())))
+		for v := range g.N() {
+			exact.Add(exact, big.NewFloat(g.Width(v)))
+		}
+		return nil, nil, fmt.Errorf("vertex widths plus dummy-width*n*m sum to %.4g, above the bound %g", exact, maxWidthSum)
+	}
+	return g, names, nil
 }
 
 // requestKey is the cache key: a hash over gk, the graph's canonical hash
@@ -254,16 +293,13 @@ func ParseGraph(req Request, body io.Reader) (*antlayer.Graph, []string, error) 
 // cache pins whichever was computed first, which keeps responses stable —
 // a feature, not a loss.
 func requestKey(req Request, gk string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "graph=%s\n", gk)
 	aco := req.ACO
 	aco.Workers = 0
 	// Warm and ExportState never parameterise the body of a *cold*
 	// computation (exporting is a side channel; Warm is nil on the cold
-	// path) and Warm is a pointer, whose %+v rendering would be an
-	// address — nondeterministic keys. A warm-started computation *does*
-	// have a different body; it is cached under this key plus a lineage
-	// suffix (Server.warmPlan), never under the bare key.
+	// path). A warm-started computation *does* have a different body; it
+	// is cached under this key plus a lineage suffix (Server.warmPlan),
+	// never under the bare key.
 	aco.Warm = nil
 	aco.ExportState = false
 	// The island knobs are canonicalised before hashing: for algo=island
@@ -276,10 +312,48 @@ func requestKey(req Request, gk string) string {
 		ip := req.Options().IslandOf()
 		islands, interval = ip.Islands, ip.MigrationInterval
 	}
-	fmt.Fprintf(h, "p algo=%s promote=%t render=%s dummyWidth=%g cgWidth=%d islands=%d interval=%d aco=%+v\n",
-		req.Algo, req.Promote, req.Render, req.DummyWidth, req.CGWidth,
-		islands, interval, aco)
-	return hex.EncodeToString(h.Sum(nil))
+	// The bytes are those of "graph=%s\np algo=%s promote=%t render=%s
+	// dummyWidth=%g cgWidth=%d islands=%d interval=%d aco=%+v\n", the
+	// format the keys were first defined by (TestKeysMatchFmt).
+	b := make([]byte, 0, 512)
+	b = append(append(b, "graph="...), gk...)
+	b = append(append(b, "\np algo="...), req.Algo...)
+	b = strconv.AppendBool(append(b, " promote="...), req.Promote)
+	b = append(append(b, " render="...), req.Render...)
+	b = strconv.AppendFloat(append(b, " dummyWidth="...), req.DummyWidth, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " cgWidth="...), int64(req.CGWidth), 10)
+	b = strconv.AppendInt(append(b, " islands="...), int64(islands), 10)
+	b = strconv.AppendInt(append(b, " interval="...), int64(interval), 10)
+	b = append(appendParams(append(b, " aco="...), aco), '\n')
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendParams appends what fmt's %+v writes for p, whose Warm
+// requestKey has cleared: every field in declaration order as Name:value,
+// floats as %g, the modes through their String methods.
+func appendParams(b []byte, p antlayer.ACOParams) []byte {
+	b = strconv.AppendInt(append(b, "{Ants:"...), int64(p.Ants), 10)
+	b = strconv.AppendInt(append(b, " Tours:"...), int64(p.Tours), 10)
+	b = strconv.AppendFloat(append(b, " Alpha:"...), p.Alpha, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " Beta:"...), p.Beta, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " Rho:"...), p.Rho, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " Tau0:"...), p.Tau0, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " Q:"...), p.Q, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " DummyWidth:"...), p.DummyWidth, 'g', -1, 64)
+	b = append(append(b, " Selection:"...), p.Selection.String()...)
+	b = strconv.AppendFloat(append(b, " Q0:"...), p.Q0, 'g', -1, 64)
+	b = append(append(b, " Stretch:"...), p.Stretch.String()...)
+	b = append(append(b, " Heuristic:"...), p.Heuristic.String()...)
+	b = strconv.AppendInt(append(b, " MaxLayers:"...), int64(p.MaxLayers), 10)
+	b = strconv.AppendFloat(append(b, " WidthBound:"...), p.WidthBound, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " TauMin:"...), p.TauMin, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " TauMax:"...), p.TauMax, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " StopAfterStagnantTours:"...), int64(p.StopAfterStagnantTours), 10)
+	b = strconv.AppendBool(append(b, " Warm:<nil> ExportState:"...), p.ExportState)
+	b = strconv.AppendInt(append(b, " Workers:"...), int64(p.Workers), 10)
+	b = strconv.AppendInt(append(b, " Seed:"...), p.Seed, 10)
+	return append(b, '}')
 }
 
 // graphKey is the canonical hash of the graph alone — vertex count,
@@ -287,23 +361,39 @@ func requestKey(req Request, gk string) string {
 // result-cache key (which appends the parameters) and the warm-state
 // cache (which is parameter-free: a pheromone matrix learned under one
 // tour budget seeds a run under any other). It is echoed to clients as
-// X-Graph-Key, the handle the base= knob names a lineage by.
+// X-Graph-Key, the handle the base= knob names a lineage by. The hashed
+// bytes are those of "g n=%d\n", "v %d w=%g name=%q\n" per vertex and
+// "e %d %d\n" per edge (TestKeysMatchFmt), streamed into the hash a few
+// KiB at a time.
 func graphKey(g *antlayer.Graph, names []string) string {
+	const chunk = 4 << 10
 	h := sha256.New()
-	fmt.Fprintf(h, "g n=%d\n", g.N())
-	for v := 0; v < g.N(); v++ {
-		fmt.Fprintf(h, "v %d w=%g name=%q\n", v, g.Width(v), names[v])
-	}
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	b := make([]byte, 0, chunk)
+	b = append(strconv.AppendInt(append(b, "g n="...), int64(g.N()), 10), '\n')
+	for v := range g.N() {
+		b = strconv.AppendInt(append(b, "v "...), int64(v), 10)
+		b = strconv.AppendFloat(append(b, " w="...), g.Width(v), 'g', -1, 64)
+		b = append(strconv.AppendQuote(append(b, " name="...), names[v]), '\n')
+		if len(b) >= chunk {
+			h.Write(b)
+			b = b[:0]
 		}
-		return edges[i].V < edges[j].V
-	})
-	for _, e := range edges {
-		fmt.Fprintf(h, "e %d %d\n", e.U, e.V)
 	}
+	// Edges sorted by (u, v): u ascending, each u's successors sorted.
+	var succ []int
+	for u := range g.N() {
+		succ = append(succ[:0], g.Succ(u)...)
+		slices.Sort(succ)
+		for _, v := range succ {
+			b = strconv.AppendInt(append(b, "e "...), int64(u), 10)
+			b = append(strconv.AppendInt(append(b, ' '), int64(v), 10), '\n')
+			if len(b) >= chunk {
+				h.Write(b)
+				b = b[:0]
+			}
+		}
+	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
