@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
 	"antlayer/internal/dag"
 )
@@ -31,7 +30,7 @@ type ant struct {
 	widths []float64 // widths[l-1] = width of layer l incl. dummies
 	occ    []int     // occ[l-1] = number of real vertices on layer l
 	h      int       // number of occupied layers
-	rng    *rand.Rand
+	rng    antRand
 
 	// Prefix/suffix maxima over occupied layer widths (1-based layers;
 	// preMax[0] = sufMax[L+1] = -inf sentinel). Maintained incrementally:
@@ -55,6 +54,24 @@ type ant struct {
 	objective float64 // f = 1/(H+W) after the walk
 	height    int
 	width     float64
+
+	// expMemo caches exp(−Δ) by the bits of Δ, direct-mapped. The value
+	// is a pure function of Δ, so entries stay valid across walks and
+	// tours. See eta.
+	expMemo [expMemoSize]expEntry
+}
+
+// expMemoSize is the number of expMemo slots; a Fibonacci hash of Δ's
+// bits picks the slot.
+const (
+	expMemoBits = 8
+	expMemoSize = 1 << expMemoBits
+)
+
+// expEntry is one expMemo slot: math.Exp(−Δ) for the Δ whose bits are key.
+type expEntry struct {
+	key uint64
+	val float64
 }
 
 // newAnt allocates an ant over the shared search space and prepares it for
@@ -69,7 +86,6 @@ func newAnt(g *dag.Graph, p *Params, powTau [][]float64, L int, baseAssign []int
 		assign:   make([]int, n),
 		widths:   make([]float64, L),
 		occ:      make([]int, L),
-		rng:      rand.New(rand.NewSource(seed)),
 		preMax:   make([]float64, L+2),
 		sufMax:   make([]float64, L+2),
 		etas:     make([]float64, L),
@@ -80,6 +96,13 @@ func newAnt(g *dag.Graph, p *Params, powTau [][]float64, L int, baseAssign []int
 	}
 	if bi := int(p.Beta); float64(bi) == p.Beta && bi >= 0 && bi <= 5 {
 		a.betaInt, a.betaIsInt = bi, true
+	}
+	// An unwritten slot holds a NaN key, which no Δ has (widths are
+	// finite), so it is never returned; its NaN value would be the right
+	// answer even for a NaN Δ.
+	nan := math.NaN()
+	for i := range a.expMemo {
+		a.expMemo[i] = expEntry{math.Float64bits(nan), nan}
 	}
 	a.reset(baseAssign, baseWidths, powTau, seed)
 	return a
@@ -163,8 +186,9 @@ func (a *ant) repairMaxima(lo, hi int) {
 // the objective value f = 1/(H+W).
 //
 // The visiting order is an in-place Fisher–Yates over the reused perm
-// buffer, drawing exactly the Intn sequence rand.Perm draws so walks are
-// bitwise-identical to the allocating formulation.
+// buffer, drawing exactly the Intn sequence rand.Perm draws (Intn is
+// Int31n for any n a graph can have) so walks are bitwise-identical to
+// the allocating formulation.
 func (a *ant) walk() {
 	n := a.g.N()
 	perm := a.perm[:n]
@@ -172,7 +196,7 @@ func (a *ant) walk() {
 	// the RNG — rand.Perm does the same, and skipping the draw would shift
 	// the stream and change every walk.
 	for i := 0; i < n; i++ {
-		j := a.rng.Intn(i + 1)
+		j := int(a.rng.Int31n(int32(i + 1)))
 		perm[i] = perm[j]
 		perm[j] = i
 	}
@@ -215,31 +239,7 @@ func (a *ant) chooseLayer(v, lo, hi int) int {
 	if lo >= hi {
 		return lo
 	}
-	var deltas, affected []float64
-	if a.p.Heuristic != HeuristicLayerWidth || a.p.WidthBound > 0 {
-		deltas, affected = a.evalRange(v, lo, hi)
-	}
-	etas := a.etas[:hi-lo+1]
-	if a.p.Heuristic == HeuristicLayerWidth {
-		for l := lo; l <= hi; l++ {
-			etas[l-lo] = 1 / (a.widths[l-1] + a.p.DummyWidth)
-		}
-	} else {
-		for i, d := range deltas {
-			etas[i] = math.Exp(-d)
-		}
-	}
-	if a.p.WidthBound > 0 {
-		// §IV-C resource capacities: candidates whose move would push any
-		// widened occupied layer beyond the bound get zero desirability.
-		// The current layer stays admissible so feasibility is never lost.
-		cur := a.assign[v]
-		for l := lo; l <= hi; l++ {
-			if l != cur && affected[l-lo] > a.p.WidthBound {
-				etas[l-lo] = 0
-			}
-		}
-	}
+	etas := a.eta(v, lo, hi)
 	switch a.p.Selection {
 	case SelectRoulette:
 		return a.rouletteLayer(v, lo, hi, etas)
@@ -253,7 +253,8 @@ func (a *ant) chooseLayer(v, lo, hi int) int {
 	}
 }
 
-// etaRange computes η[v][l] for every l in [lo, hi], indexed l-lo.
+// eta computes η[v][l] for every l in [lo, hi], indexed l-lo. It is the
+// one η path: chooseLayer and the tests both read η through it.
 //
 // HeuristicLayerWidth is the literal formula of §IV-D: η = 1/W(l) with the
 // layer's current width (regularised by one dummy width so empty layers
@@ -273,20 +274,42 @@ func (a *ant) chooseLayer(v, lo, hi int) int {
 // the widths of all affected layers and the dummy vertices an assignment
 // would cause.
 //
-// chooseLayer inlines this computation to share evalRange with the width
-// bound; etaRange remains the single-purpose form used by tests. It
-// returns a freshly allocated slice, not a scratch buffer.
-func (a *ant) etaRange(v, lo, hi int) []float64 {
-	etas := make([]float64, hi-lo+1)
+// With a width bound (§IV-C resource capacities), candidates whose move
+// would push any widened occupied layer beyond the bound get η = 0. The
+// current layer stays admissible so feasibility is never lost.
+//
+// The returned slice is the ant's scratch buffer: valid until the next
+// eta call.
+func (a *ant) eta(v, lo, hi int) []float64 {
+	var deltas, affected []float64
+	if a.p.Heuristic != HeuristicLayerWidth || a.p.WidthBound > 0 {
+		deltas, affected = a.evalRange(v, lo, hi)
+	}
+	etas := a.etas[:hi-lo+1]
 	if a.p.Heuristic == HeuristicLayerWidth {
 		for l := lo; l <= hi; l++ {
 			etas[l-lo] = 1 / (a.widths[l-1] + a.p.DummyWidth)
 		}
-		return etas
+	} else {
+		// exp(−Δ) through the ant's expMemo: Δ takes few distinct
+		// values (differences of H+W plus the dummy charge), so most
+		// lookups hit, and a hit returns the very bits math.Exp returned.
+		for i, d := range deltas {
+			k := math.Float64bits(d)
+			e := &a.expMemo[(k*0x9E3779B97F4A7C15)>>(64-expMemoBits)]
+			if e.key != k {
+				e.key, e.val = k, math.Exp(-d)
+			}
+			etas[i] = e.val
+		}
 	}
-	deltas, _ := a.evalRange(v, lo, hi)
-	for i, d := range deltas {
-		etas[i] = math.Exp(-d)
+	if a.p.WidthBound > 0 {
+		cur := a.assign[v]
+		for l := lo; l <= hi; l++ {
+			if l != cur && affected[l-lo] > a.p.WidthBound {
+				etas[l-lo] = 0
+			}
+		}
 	}
 	return etas
 }

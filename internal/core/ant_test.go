@@ -289,7 +289,7 @@ func TestRouletteSurvivesScoreOverflow(t *testing.T) {
 	seen := map[int]bool{}
 	for trial := 0; trial < 200; trial++ {
 		a.rng.Seed(int64(trial))
-		seen[a.rouletteLayer(0, 1, 3, a.etaRange(0, 1, 3))] = true
+		seen[a.rouletteLayer(0, 1, 3, a.eta(0, 1, 3))] = true
 	}
 	if !seen[2] || !seen[3] {
 		t.Fatalf("roulette degraded to a deterministic choice under overflow: saw %v", seen)
@@ -300,7 +300,7 @@ func TestRouletteSurvivesScoreOverflow(t *testing.T) {
 	a.powTau[0][1] = math.Inf(1)
 	for trial := 0; trial < 50; trial++ {
 		a.rng.Seed(int64(trial))
-		if got := a.rouletteLayer(0, 1, 3, a.etaRange(0, 1, 3)); got != 2 {
+		if got := a.rouletteLayer(0, 1, 3, a.eta(0, 1, 3)); got != 2 {
 			t.Fatalf("infinite score: picked layer %d, want argmax layer 2", got)
 		}
 	}
@@ -342,7 +342,7 @@ func TestEtaLayerWidthOrdering(t *testing.T) {
 	p.MaxLayers = 3
 	a := testAnt(t, g, p, 1)
 	// All three vertices start on layer 1 (LPL of edgeless graph).
-	etas := a.etaRange(0, 1, 3)
+	etas := a.eta(0, 1, 3)
 	if !(etas[1] > etas[0] && etas[2] > etas[0]) {
 		t.Fatalf("empty layers not preferred: %v", etas)
 	}

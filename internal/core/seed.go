@@ -2,14 +2,15 @@ package core
 
 // Deterministic per-ant seed derivation.
 //
-// Every ant owns an independent rand.Rand whose seed is a pure function of
-// (master seed, tour number, ant index). Because no RNG stream is shared
-// between ants — or between the colony and its ants — the layering an ant
-// constructs depends only on those three values, never on which goroutine
-// ran it or in what order the worker pool scheduled the colony. That is
-// what makes a parallel run bitwise-identical to a sequential one at any
-// Workers setting, and it also keeps early stopping seed-stable: skipping
-// the tail of a run cannot shift the seeds of the tours that did execute.
+// Every ant owns an independent generator (antRand, math/rand's stream)
+// whose seed is a pure function of (master seed, tour number, ant index).
+// Because no RNG stream is shared between ants — or between the colony
+// and its ants — the layering an ant constructs depends only on those
+// three values, never on which goroutine ran it or in what order the
+// worker pool scheduled the colony. That is what makes a parallel run
+// bitwise-identical to a sequential one at any Workers setting, and it
+// also keeps early stopping seed-stable: skipping the tail of a run
+// cannot shift the seeds of the tours that did execute.
 
 // mix64 is the SplitMix64 finalizer (Steele, Lea, Flood: "Fast Splittable
 // Pseudorandom Number Generators", OOPSLA 2014): a bijective 64-bit mixer
@@ -29,7 +30,7 @@ func mix64(z uint64) uint64 {
 // reproducible and no two islands ever share an RNG stream with each other
 // or with any single-colony run on the same master seed (the stream
 // multiplier differs from both antSeed multipliers). The result is masked
-// to 63 bits for the same rand.NewSource reason as antSeed.
+// to 63 bits for the same seed-normalisation reason as antSeed.
 func SubSeed(master int64, stream int) int64 {
 	z := mix64(uint64(master) ^ 0xD1B54A32D192ED03*uint64(stream+1))
 	return int64(z & (1<<63 - 1))
@@ -41,9 +42,10 @@ func SubSeed(master int64, stream int) int64 {
 // with a full mix between absorptions, so small (tour, ant) indices cannot
 // cancel against each other and every pair receives an unrelated seed.
 //
-// The result is masked to 63 bits: rand.NewSource folds negative seeds
-// through a Mersenne-prime reduction, and keeping the value non-negative
-// sidesteps that sign-dependent aliasing.
+// The result seeds the ant's generator, antRand, and is masked to 63
+// bits: its seeding (math/rand's) folds negative seeds through a
+// Mersenne-prime reduction, and keeping the value non-negative sidesteps
+// that sign-dependent aliasing.
 func antSeed(master int64, tour, ant int) int64 {
 	z := uint64(master)
 	z = mix64(z ^ 0xA24BAED4963EE407*uint64(tour+1))

@@ -76,16 +76,17 @@ func (s *State) MemoryBytes() int64 {
 // before anything is allocated. It counts two pheromone matrices of n
 // rows by L layers (the colony's own and the State it exports or warm-
 // starts from; L is n, or MaxLayers when larger), a third for the τ^α
-// snapshot when Alpha ≠ 1, per ant its O(n + L) scratch plus about
-// 5 KiB of RNG table and struct, and one TourStats of History per tour.
-// It saturates at math.MaxInt64.
+// snapshot when Alpha ≠ 1, per ant its struct (which embeds the RNG
+// register and the exp(−Δ) memo, about 9 KiB) plus its O(n + L) slices,
+// and one TourStats of History per tour. It saturates at
+// math.MaxInt64.
 func ColonyMemoryBytes(n int, p Params) int64 {
 	rows, layers := float64(n), float64(max(n, p.MaxLayers))
 	matrices := 2.0
 	if p.Alpha != 1 {
 		matrices++
 	}
-	perAnt := 16*rows + 64*(layers+2) + 5<<10
+	perAnt := float64(unsafe.Sizeof(ant{})) + 16*rows + 64*(layers+2)
 	est := matrices*rows*(24+8*layers) + float64(max(p.Ants, 0))*perAnt +
 		float64(max(p.Tours, 0))*float64(unsafe.Sizeof(TourStats{}))
 	if est >= math.MaxInt64 {
