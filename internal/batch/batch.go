@@ -82,9 +82,10 @@ type Config struct {
 	// queue does not pin day-old results in memory waiting for the
 	// count bound. 0 disables age-based expiry.
 	ExpireAfter time.Duration
-	// EventRing bounds the pub/sub replay ring: how many recent job
-	// state transitions Events retains for Last-Event-ID-style replay.
-	// 0 means 1024.
+	// EventRing bounds the event ring: how many recent job state
+	// transitions Events retains. Subscribers read only from the ring, so
+	// it bounds both how far back a Last-Event-ID resume reaches and how
+	// far a live reader may lag before it sees a gap. 0 means 1024.
 	EventRing int
 }
 
@@ -487,9 +488,6 @@ func (q *Queue) Close() {
 		close(q.sweepStop)
 		<-q.sweepDone
 	}
-	// Workers and sweeper have drained: no publisher is left, so the
-	// subscriber channels can close and streaming consumers unblock.
-	q.events.closeAll()
 }
 
 // worker pops jobs until the pending channel drains after Close.

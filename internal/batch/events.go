@@ -2,24 +2,19 @@ package batch
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // The event layer turns the queue's pull-driven lifecycle into a
-// push-driven one, mirroring the IPPS manager/topic split: the queue is
-// the publisher, an Events manager assigns every job state transition a
-// globally monotonic sequence number, retains the recent past in a
-// bounded ring for replay, and fans each event out to per-job and
-// per-topic subscribers over buffered channels. Delivery is best-effort
-// with drop-and-mark semantics: a subscriber that cannot keep up never
-// blocks a publisher — the event is dropped for that subscriber, the
-// drop is counted on the subscription, and the subscriber resynchronises
-// by replaying the ring from its last seen sequence number. Per-job
-// ordering is exact: a job's events are published in transition order,
-// so any subscriber that keeps up (or replays after a drop, while the
-// gap is still inside the ring) observes queued → running → done/failed
-// exactly once, in order.
+// push-driven one, mirroring the IPPS manager/topic split: the queue
+// publishes, and an Events manager gives every job state transition a
+// globally monotonic sequence number and stores it in a bounded ring,
+// the only place watchers read from. A Subscription is a job/topic
+// filter, a cursor and a one-slot doorbell that publish rings without
+// blocking. Nothing is dropped: the ring's bound is the only loss, and
+// Read reports it as a gap. A job's events are published in transition
+// order, so a watcher that reads without a gap observes queued →
+// running → done/failed exactly once, in order.
 
 // StateExpired is the pseudo-state published when the retention sweeper
 // evicts a terminal job: the job's last event, emitted before the job is
@@ -68,27 +63,21 @@ type EventStats struct {
 	// sequence number of the newest one (0 = none yet).
 	Published int64  `json:"published"`
 	LastSeq   uint64 `json:"last_seq"`
-	// Dropped counts subscriber-side drops: events a full subscription
-	// buffer could not take (each drop is also counted on its
-	// subscription, which is what triggers a replay resync).
-	Dropped int64 `json:"dropped"`
 	// Subscribers is the current subscription count; RingLen is how many
-	// events the replay ring currently retains.
+	// events the ring currently retains.
 	Subscribers int `json:"subscribers"`
 	RingLen     int `json:"ring_len"`
 }
 
 // Events is the queue's pub/sub manager. Obtain it with Queue.Events;
-// the queue publishes, subscribers watch.
+// the queue publishes, subscribers read.
 type Events struct {
 	mu        sync.Mutex
 	seq       uint64
-	ring      []Event // newest last; bounded by ringCap, contiguous seqs
+	ring      []Event // seq s sits at ring[(s-1) % ringCap]; seqs are contiguous
 	ringCap   int
 	subs      map[*Subscription]struct{}
-	closed    bool
 	published int64
-	dropped   int64
 }
 
 func newEvents(ringCap int) *Events {
@@ -98,123 +87,101 @@ func newEvents(ringCap int) *Events {
 	return &Events{ringCap: ringCap, subs: make(map[*Subscription]struct{})}
 }
 
-// Subscription is one subscriber's buffered view of the event stream,
-// filtered by job id and/or topic. Read from C; check Dropped after a
-// slow spell and replay to resynchronise; Close when done.
+// Subscription is one watcher's cursor over the ring, filtered by job id
+// and/or topic. Wait on Ready, then Read; Close when done.
 type Subscription struct {
-	events  *Events
-	ch      chan Event
-	jobID   string
-	topic   string
-	dropped atomic.Int64
+	events       *Events
+	jobID, topic string
+	bell         chan struct{} // one slot: rung by publish, drained by Read
+	// Guarded by events.mu.
+	cursor uint64 // newest seq read
+	unread uint64 // first matching seq published since the last Read (after+1 before the first); 0 = none
 }
 
-// C is the delivery channel. It is closed when the queue shuts down.
-func (s *Subscription) C() <-chan Event { return s.ch }
+// Ready is the subscription's doorbell: it receives once a matching event
+// has been published since the last Read.
+func (s *Subscription) Ready() <-chan struct{} { return s.bell }
 
-// Dropped returns how many events this subscription missed because its
-// buffer was full, and resets the counter — so a caller that replays the
-// ring after a non-zero answer starts the next accounting period clean.
-func (s *Subscription) Dropped() int64 { return s.dropped.Swap(0) }
-
-// Close detaches the subscription and closes its channel.
+// Close detaches the subscription. Safe to call more than once.
 func (s *Subscription) Close() {
 	e := s.events
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.subs[s]; !ok {
-		return
-	}
 	delete(e.subs, s)
-	close(s.ch)
+	e.mu.Unlock()
 }
 
 // Subscribe registers a subscriber for events matching jobID and/or
-// topic ("" = any). buf bounds the delivery channel (0 = 64): when it is
-// full the publisher drops the event for this subscriber and marks the
-// subscription instead of blocking.
-func (e *Events) Subscribe(jobID, topic string, buf int) *Subscription {
-	if buf <= 0 {
-		buf = 64
+// topic ("" = any), with its cursor at after: the first Read returns the
+// retained events past it, and reports a gap when after > 0 and the ring
+// no longer reaches after+1.
+func (e *Events) Subscribe(jobID, topic string, after uint64) *Subscription {
+	s := &Subscription{events: e, jobID: jobID, topic: topic, bell: make(chan struct{}, 1), cursor: after}
+	if after > 0 {
+		s.unread = after + 1 // 0 when after is the largest seq: nothing can follow it
 	}
-	s := &Subscription{events: e, ch: make(chan Event, buf), jobID: jobID, topic: topic}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		close(s.ch)
-		return s
-	}
 	e.subs[s] = struct{}{}
+	e.mu.Unlock()
 	return s
 }
 
-// publish assigns the next sequence number, stores the event in the
-// replay ring and fans it out. Called by the queue with its own ordering
-// guarantees (a job's transitions are published in order); holding e.mu
-// across assignment and fan-out is what makes sequence order and
-// delivery order agree on every channel.
+// publish assigns the next sequence number, stores the event in the ring
+// and rings the doorbell of every subscription it matches. Called by the
+// queue with its own ordering guarantees (a job's transitions are
+// published in order). It never blocks: a doorbell already rung stays
+// rung, and the event waits in the ring.
 func (e *Events) publish(ev Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
 	e.seq++
 	ev.Seq = e.seq
 	e.published++
-	e.ring = append(e.ring, ev)
-	if len(e.ring) > e.ringCap {
-		// Trim in chunks so appends stay amortised O(1).
-		e.ring = append(e.ring[:0:0], e.ring[len(e.ring)-e.ringCap:]...)
+	if len(e.ring) < e.ringCap {
+		e.ring = append(e.ring, ev)
+	} else {
+		e.ring[(ev.Seq-1)%uint64(e.ringCap)] = ev
 	}
 	for s := range e.subs {
-		if !ev.matches(s.jobID, s.topic) {
+		if ev.Seq <= s.cursor || !ev.matches(s.jobID, s.topic) {
 			continue
 		}
+		if s.unread == 0 {
+			s.unread = ev.Seq
+		}
 		select {
-		case s.ch <- ev:
+		case s.bell <- struct{}{}:
 		default:
-			s.dropped.Add(1)
-			e.dropped++
 		}
 	}
 }
 
-// Replay returns the retained events with Seq > after that match the
-// filter, in sequence order. The ring is bounded: events older than its
-// capacity are gone, so a subscriber that lagged beyond it sees a gap —
-// the trade the drop-and-mark policy makes to keep publishers wait-free.
-// OldestRetained reports where coverage starts.
-func (e *Events) Replay(after uint64, jobID, topic string) []Event {
+// Read returns the retained events matching the subscription that were
+// published after its cursor, in sequence order, and moves the cursor to
+// the newest sequence number. gap reports that events it should have
+// returned left the ring unread; oldest is the oldest sequence number the
+// ring retains (0 = empty). A read costs O(events after the cursor).
+func (s *Subscription) Read() (evs []Event, oldest uint64, gap bool) {
+	e := s.events
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []Event
-	for _, ev := range e.ring {
-		if ev.Seq > after && ev.matches(jobID, topic) {
-			out = append(out, ev)
+	select {
+	case <-s.bell: // this read covers whatever rang it
+	default:
+	}
+	if n := uint64(len(e.ring)); n > 0 {
+		oldest = e.seq - n + 1
+		gap = s.unread != 0 && s.unread < oldest
+		// The cursor may come from a client's Last-Event-ID, so it can lie
+		// anywhere, past the newest seq included.
+		for seq := max(s.cursor, oldest-1) + 1; s.cursor < e.seq && seq <= e.seq; seq++ {
+			if ev := e.ring[(seq-1)%uint64(e.ringCap)]; ev.matches(s.jobID, s.topic) {
+				evs = append(evs, ev)
+			}
 		}
 	}
-	return out
-}
-
-// OldestRetained returns the smallest sequence number still in the
-// replay ring (0 when the ring is empty): a reconnecting client whose
-// Last-Event-ID is older than this minus one cannot be replayed
-// completely.
-func (e *Events) OldestRetained() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.ring) == 0 {
-		return 0
-	}
-	return e.ring[0].Seq
-}
-
-// LastSeq returns the newest assigned sequence number (0 = none yet).
-func (e *Events) LastSeq() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.seq
+	s.cursor = max(s.cursor, e.seq)
+	s.unread = 0
+	return evs, oldest, gap
 }
 
 // Stats returns a point-in-time summary of the event layer.
@@ -224,25 +191,8 @@ func (e *Events) Stats() EventStats {
 	return EventStats{
 		Published:   e.published,
 		LastSeq:     e.seq,
-		Dropped:     e.dropped,
 		Subscribers: len(e.subs),
 		RingLen:     len(e.ring),
-	}
-}
-
-// closeAll ends the stream: every subscription channel is closed (after
-// this no publish succeeds). Called by Queue.Close once the workers have
-// drained, so no publisher is mid-flight.
-func (e *Events) closeAll() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for s := range e.subs {
-		delete(e.subs, s)
-		close(s.ch)
 	}
 }
 

@@ -3,25 +3,30 @@ package batch
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
 
-// collectUntilTerminal drains a subscription until it delivers a
-// terminal-state event for the given job (or the wait context dies).
+// collectUntilTerminal reads a subscription until it returns a
+// terminal-state event for the given job (or the wait context dies). A
+// gap fails the test: these subscriptions always keep up.
 func collectUntilTerminal(t *testing.T, ctx context.Context, sub *Subscription, jobID string) []Event {
 	t.Helper()
 	var events []Event
 	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok {
-				t.Fatalf("subscription closed before %s turned terminal (got %v)", jobID, events)
-			}
+		evs, _, gap := sub.Read()
+		if gap {
+			t.Fatalf("gap before %s turned terminal (got %v)", jobID, events)
+		}
+		for _, ev := range evs {
 			events = append(events, ev)
 			if ev.JobID == jobID && ev.State.Terminal() {
 				return events
 			}
+		}
+		select {
+		case <-sub.Ready():
 		case <-ctx.Done():
 			t.Fatalf("no terminal event for %s (got %v)", jobID, events)
 		}
@@ -36,7 +41,7 @@ func TestEventsLifecycleOrder(t *testing.T) {
 	defer q.Close()
 	// Subscribing to everything before submission catches the queued
 	// event; the job filter is checked separately below.
-	sub := q.Events().Subscribe("", "", 16)
+	sub := q.Events().Subscribe("", "", 0)
 	defer sub.Close()
 	j, err := q.Submit(func(context.Context) ([]byte, error) { return []byte("x"), nil })
 	if err != nil {
@@ -64,7 +69,7 @@ func TestEventsLifecycleOrder(t *testing.T) {
 func TestEventsFailedCarriesReason(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Close()
-	sub := q.Events().Subscribe("", "", 16)
+	sub := q.Events().Subscribe("", "", 0)
 	defer sub.Close()
 	j, err := q.Submit(func(context.Context) ([]byte, error) { return nil, fmt.Errorf("boom") })
 	if err != nil {
@@ -99,7 +104,7 @@ func TestEventsFailedCarriesReason(t *testing.T) {
 func TestEventsTopicFilter(t *testing.T) {
 	q := New(Config{Workers: 2})
 	defer q.Close()
-	sub := q.Events().Subscribe("", "red", 32)
+	sub := q.Events().Subscribe("", "red", 0)
 	defer sub.Close()
 	fn := func(context.Context) ([]byte, error) { return nil, nil }
 	red, err := q.SubmitTraced(fn, "", "red", "hot")
@@ -126,18 +131,41 @@ func TestEventsTopicFilter(t *testing.T) {
 	}
 }
 
-// TestEventsSlowConsumerDrop pins the drop-and-mark policy under -race:
-// a subscriber with a one-slot buffer that never reads while many jobs
-// flow is marked dropped (never blocking the queue), and a ring replay
-// from its last seen sequence number recovers every missed event.
-func TestEventsSlowConsumerDrop(t *testing.T) {
+// TestEventsIdleSubscriberNeverBlocksPublish pins the publisher side
+// under -race: a subscription that never reads while many jobs flow
+// never blocks the queue, its doorbell stays rung, and its one read
+// afterwards returns every event, in order, without a gap.
+func TestEventsIdleSubscriberNeverBlocksPublish(t *testing.T) {
 	q := New(Config{Workers: 4, Depth: 64})
 	defer q.Close()
-	sub := q.Events().Subscribe("", "", 1)
+	sub := q.Events().Subscribe("", "", 0)
 	defer sub.Close()
 	const jobs = 20
-	for i := 0; i < jobs; i++ {
-		j, err := q.Submit(func(context.Context) ([]byte, error) { return nil, nil })
+	runJobs(t, q, jobs)
+	select {
+	case <-sub.Ready():
+	default:
+		t.Fatal("doorbell not rung after 20 jobs")
+	}
+	evs, _, gap := sub.Read()
+	if gap || len(evs) != 3*jobs {
+		t.Fatalf("read %d events (gap %v), want %d without a gap", len(evs), gap, 3*jobs)
+	}
+	for i, ev := range evs {
+		if ev.Seq != uint64(i)+1 {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
+	}
+	if evs, _, gap := sub.Read(); len(evs) != 0 || gap {
+		t.Fatalf("second read returned %d events (gap %v), want none", len(evs), gap)
+	}
+}
+
+// runJobs submits n no-op jobs with the given labels and waits for each.
+func runJobs(t *testing.T, q *Queue, n int, labels ...string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		j, err := q.SubmitTraced(func(context.Context) ([]byte, error) { return nil, nil }, "", labels...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,31 +173,74 @@ func TestEventsSlowConsumerDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dropped := sub.Dropped()
-	if dropped == 0 {
-		t.Fatalf("one-slot subscriber missed nothing across %d jobs (3 events each)", jobs)
+}
+
+// TestEventsGapWhenRingCyclesUnread: a subscription that does not read
+// while the ring cycles past its matching events reports a gap on its
+// next read, gets what the ring still holds, and reads on without one.
+// A resume id older than the ring reports a gap on the first read; one
+// past the newest seq reports nothing, the largest seq included.
+func TestEventsGapWhenRingCyclesUnread(t *testing.T) {
+	q := New(Config{Workers: 1, EventRing: 4})
+	defer q.Close()
+	sub := q.Events().Subscribe("", "red", 0)
+	defer sub.Close()
+	runJobs(t, q, 1, "red")
+	runJobs(t, q, 2, "blue")
+	evs, oldest, gap := sub.Read()
+	if !gap || len(evs) != 0 || oldest != 6 {
+		t.Fatalf("read %v, oldest %d, gap %v; want a gap, nothing, oldest 6", evs, oldest, gap)
 	}
-	// The one buffered event is the subscriber's last delivery; everything
-	// after it must be recoverable from the ring.
-	first := <-sub.C()
-	recovered := q.Events().Replay(first.Seq, "", "")
-	total := q.Events().Stats()
-	if got := uint64(len(recovered)) + first.Seq; got != total.LastSeq {
-		t.Fatalf("replay from seq %d returned %d events, want coverage to %d",
-			first.Seq, len(recovered), total.LastSeq)
+	runJobs(t, q, 1, "red")
+	if evs, _, gap = sub.Read(); gap || len(evs) != 3 || evs[0].Seq != 10 {
+		t.Fatalf("read %v (gap %v), want seqs 10-12 without a gap", evs, gap)
 	}
-	for i, ev := range recovered {
-		if ev.Seq != first.Seq+uint64(i)+1 {
-			t.Fatalf("replay gap at %d: seq %d", i, ev.Seq)
+
+	resume := q.Events().Subscribe("", "", 3)
+	defer resume.Close()
+	if evs, oldest, gap := resume.Read(); !gap || oldest != 9 || len(evs) != 4 {
+		t.Fatalf("resume at 3 read %d events, oldest %d, gap %v; want 4, 9, a gap", len(evs), oldest, gap)
+	}
+	for _, after := range []uint64{8, 12, 99, math.MaxUint64} {
+		resume := q.Events().Subscribe("", "", after)
+		evs, _, gap := resume.Read()
+		resume.Close()
+		if gap || len(evs) != int(12-min(after, 12)) {
+			t.Fatalf("resume at %d read %d events (gap %v)", after, len(evs), gap)
 		}
-	}
-	if total.Dropped < dropped {
-		t.Fatalf("manager dropped counter %d < subscription's %d", total.Dropped, dropped)
 	}
 }
 
-// TestEventsRingBound: the replay ring is bounded — old events fall off
-// and OldestRetained reports where coverage starts.
+// TestEventsQuietJobSubscriptionNoGap: a per-job subscription that has
+// read its job's events so far loses nothing while other jobs cycle the
+// ring: its next read has no gap and carries the terminal event.
+func TestEventsQuietJobSubscriptionNoGap(t *testing.T) {
+	q := New(Config{Workers: 2, EventRing: 4})
+	defer q.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	j, err := q.Submit(func(context.Context) ([]byte, error) { close(started); <-release; return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := q.Events().Subscribe(j.ID(), "", 0)
+	defer sub.Close()
+	<-started // running is published before the job runs
+	if evs, _, gap := sub.Read(); gap || len(evs) != 2 {
+		t.Fatalf("read %v (gap %v), want queued and running", evs, gap)
+	}
+	runJobs(t, q, 5)
+	close(release)
+	if _, err := j.Wait(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	evs, _, gap := sub.Read()
+	if gap || len(evs) != 1 || evs[0].State != StateDone {
+		t.Fatalf("read %v (gap %v), want the done event without a gap", evs, gap)
+	}
+}
+
+// TestEventsRingBound: the ring is bounded — old events fall off and a
+// read reports where coverage starts.
 func TestEventsRingBound(t *testing.T) {
 	q := New(Config{Workers: 1, EventRing: 8})
 	defer q.Close()
@@ -186,11 +257,13 @@ func TestEventsRingBound(t *testing.T) {
 	if st.RingLen != 8 {
 		t.Fatalf("ring holds %d events, want 8", st.RingLen)
 	}
-	oldest := q.Events().OldestRetained()
+	sub := q.Events().Subscribe("", "", 0)
+	defer sub.Close()
+	got, oldest, _ := sub.Read()
 	if oldest != st.LastSeq-7 {
 		t.Fatalf("oldest retained %d, want %d", oldest, st.LastSeq-7)
 	}
-	if got := q.Events().Replay(0, "", ""); len(got) != 8 || got[0].Seq != oldest {
+	if len(got) != 8 || got[0].Seq != oldest {
 		t.Fatalf("full replay returned %d events from %d", len(got), got[0].Seq)
 	}
 }
@@ -203,7 +276,7 @@ func TestEventsRingBound(t *testing.T) {
 func TestExpirePublishesBeforeRemoval(t *testing.T) {
 	q := New(Config{Workers: 1, ExpireAfter: time.Hour})
 	defer q.Close()
-	sub := q.Events().Subscribe("", "", 16)
+	sub := q.Events().Subscribe("", "", 0)
 	defer sub.Close()
 	j, err := q.Submit(func(context.Context) ([]byte, error) { return []byte("r"), nil })
 	if err != nil {
@@ -237,62 +310,41 @@ func TestExpirePublishesBeforeRemoval(t *testing.T) {
 	if l := q.List(""); len(l) != 0 {
 		t.Fatalf("List after sweep = %v, want empty", l)
 	}
-	select {
-	case ev := <-sub.C():
-		if ev.State != StateExpired || ev.JobID != j.ID() {
-			t.Fatalf("post-sweep event = %+v, want expired for %s", ev, j.ID())
-		}
-	case <-waitCtx(t).Done():
-		t.Fatal("no expired event published")
+	if evs, _, _ := sub.Read(); len(evs) != 1 || evs[0].State != StateExpired || evs[0].JobID != j.ID() {
+		t.Fatalf("post-sweep events = %+v, want expired for %s", evs, j.ID())
 	}
 	if st := q.Stats(); st.Expired != 1 {
 		t.Fatalf("Stats.Expired = %d, want 1", st.Expired)
 	}
 }
 
-// TestEventsSubscriptionCloseAndQueueClose: closing a subscription stops
-// delivery; closing the queue closes every remaining channel.
+// TestEventsSubscriptionCloseAndQueueClose: closing a subscription
+// detaches it (twice is fine); closing the queue leaves the ring
+// readable, so a subscription taken after Close still reads the past.
 func TestEventsSubscriptionCloseAndQueueClose(t *testing.T) {
 	q := New(Config{Workers: 1})
-	sub := q.Events().Subscribe("", "", 4)
+	sub := q.Events().Subscribe("", "", 0)
 	sub.Close()
 	sub.Close() // idempotent
-	if _, err := q.Submit(func(context.Context) ([]byte, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	remaining := q.Events().Subscribe("", "", 4)
-	q.Close()
-	for {
-		if _, ok := <-remaining.C(); !ok {
-			break
-		}
-	}
 	if st := q.Events().Stats(); st.Subscribers != 0 {
-		t.Fatalf("%d subscribers survived Close", st.Subscribers)
+		t.Fatalf("%d subscribers after Close", st.Subscribers)
 	}
-	// A post-Close subscription is born closed instead of leaking.
-	if _, ok := <-q.Events().Subscribe("", "", 1).C(); ok {
-		t.Fatal("post-Close subscription delivered an event")
+	runJobs(t, q, 1)
+	q.Close()
+	late := q.Events().Subscribe("", "", 0)
+	defer late.Close()
+	if evs, _, gap := late.Read(); gap || len(evs) != 3 {
+		t.Fatalf("post-Close read %d events (gap %v), want 3", len(evs), gap)
 	}
 }
 
 // BenchmarkPublish measures the publish hot path — sequence assignment,
-// ring append, fan-out to four subscribers (with drainers, so the happy
-// send path dominates rather than the drop branch).
+// ring store and the doorbells of four matching subscriptions that never
+// read (a rung doorbell stays rung).
 func BenchmarkPublish(b *testing.B) {
 	e := newEvents(1024)
-	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
-		sub := e.Subscribe("", "", 4096)
-		go func() {
-			for {
-				select {
-				case <-sub.C():
-				case <-stop:
-					return
-				}
-			}
-		}()
+		e.Subscribe("", "", 0)
 	}
 	ev := Event{JobID: "j000001", State: StateRunning, Labels: []string{"bench"}}
 	b.ReportAllocs()
@@ -300,6 +352,4 @@ func BenchmarkPublish(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.publish(ev)
 	}
-	b.StopTimer()
-	close(stop)
 }

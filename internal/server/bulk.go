@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -118,8 +119,10 @@ func (s *Server) bulkAdmit(ctx context.Context, body io.ReadCloser, results chan
 	}
 	sc := bufio.NewScanner(body)
 	// Each line is one /layer-shaped request; give it the same budget a
-	// /layer body gets.
-	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes))
+	// /layer body gets. A scanner accepts lines as long as its buffer, so
+	// the buffer must not start above that budget.
+	limit := int(s.cfg.MaxBodyBytes)
+	sc.Buffer(make([]byte, min(64<<10, limit)), limit)
 	lineNo := 0
 	for sc.Scan() {
 		if ctx.Err() != nil {
@@ -159,7 +162,11 @@ func (s *Server) bulkAdmit(ctx context.Context, body io.ReadCloser, results chan
 		}(job, lineNo)
 	}
 	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		emit(bulkResult{Line: lineNo + 1, State: "failed", Error: fmt.Sprintf("reading input: %v", err)})
+		msg := fmt.Sprintf("reading input: %v", err)
+		if errors.Is(err, bufio.ErrTooLong) {
+			msg = fmt.Sprintf("line larger than %d bytes", limit)
+		}
+		emit(bulkResult{Line: lineNo + 1, State: "failed", Error: msg})
 	}
 }
 

@@ -267,3 +267,28 @@ func BenchmarkBulkIntake(b *testing.B) {
 		}
 	}
 }
+
+// TestBulkLineBoundedByMaxBody: a bulk line is held to the /layer body
+// bound even when that bound is below the scanner's usual 64 KiB start,
+// so a graph /layer refuses with 413 is refused as a bulk line too, with
+// the bound in the error.
+func TestBulkLineBoundedByMaxBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 16 << 10})
+	var graph strings.Builder
+	graph.WriteString("digraph {")
+	for v := 1; v < 1500; v++ {
+		fmt.Fprintf(&graph, " n%d -> n%d;", v-1, v)
+	}
+	graph.WriteString(" }")
+	if resp, body := postRaw(t, ts, "/layer", "algo=lpl", graph.String()); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/layer answered %d for a %d-byte graph: %.80s", resp.StatusCode, graph.Len(), body)
+	}
+	_, lines := postBulk(t, ts, "", bulkBody([2]string{"algo=lpl", graph.String()}))
+	var res bulkResult
+	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &res) != nil {
+		t.Fatalf("bulk answered %.200q", lines)
+	}
+	if want := "line larger than 16384 bytes"; res.State != "failed" || res.Error != want {
+		t.Fatalf("bulk line %+v, want failed with %q", res, want)
+	}
+}

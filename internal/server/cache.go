@@ -5,131 +5,134 @@ import (
 	"sync"
 )
 
-// resultCache is a size-aware LRU over finished response bodies, keyed by
-// the canonical (graph, params) hash (see requestKey). Because a colony
-// run is a bitwise-deterministic function of the graph and the parameters
-// (PR 1), a cached body is exactly the body a recomputation would produce —
-// the cache trades CPU for memory with no approximation.
+// lru is the one byte-weighted LRU behind both of the daemon's caches:
+// the result cache (finished bodies, see newResultCache) and the warm
+// cache (colony states, see warmCache). Values vary by orders of
+// magnitude — a plain layering body is a few KiB, an SVG render can run
+// to megabytes, a pheromone matrix to tens of MiB — so a purely
+// entry-counted LRU would let one burst of big values evict hundreds of
+// cheap ones. Entries are evicted least-recently-used until both the
+// entry cap (0 = none) and the byte budget (<= 0 = none) hold, and a
+// value heavier than maxBytes/admitDiv is never cached at all — it would
+// purge a disproportionate slice of the working set for one entry of
+// dubious reuse. Rejections are counted for /metrics.
 //
-// Admission and eviction are byte-weighted as well as entry-counted:
-// bodies vary by four orders of magnitude (a plain layering is a few KiB,
-// an SVG render can run to megabytes), so a purely entry-counted LRU
-// would let one render burst evict hundreds of cheap layering entries.
-// Entries are evicted least-recently-used until both the entry cap and
-// the byte budget hold, and a single body larger than an admission
-// threshold (an eighth of the byte budget) is never cached at all — it
-// would purge a disproportionate slice of the working set for one entry
-// of dubious reuse. Rejections are counted for /metrics.
-//
-// Safe for concurrent use. A capacity <= 0 disables the cache: Get always
-// misses and Put is a no-op. A maxBytes <= 0 disables the byte budget
-// (entry-counted only).
-type resultCache struct {
+// Safe for concurrent use; a nil *lru is a disabled cache (Get always
+// misses, Put is a no-op).
+type lru[V any] struct {
 	mu       sync.Mutex
 	cap      int
 	maxBytes int64
+	admitDiv int64
+	weigh    func(V) int64
+	// onRemove, when set, is called with mu held for every value that
+	// leaves the cache: evicted, replaced, or dropped as stale.
+	onRemove func(V)
 	bytes    int64
-	oversize int64      // bodies refused admission for size
-	ll       *list.List // front = most recently used
+	oversize int64      // values refused admission for weight
+	ll       *list.List // of *lruEntry[V]; front = most recently used
 	m        map[string]*list.Element
 }
 
-type cacheEntry struct {
-	key  string
-	body []byte
+type lruEntry[V any] struct {
+	key string
+	v   V
 }
 
-func newResultCache(capacity int, maxBytes int64) *resultCache {
-	return &resultCache{
-		cap:      capacity,
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		m:        make(map[string]*list.Element),
-	}
+// lruStats is what /metrics reports of a cache.
+type lruStats struct {
+	entries         int
+	bytes, oversize int64
 }
 
-// admissionLimit returns the largest body the cache will accept, or 0 for
-// no limit.
-func (c *resultCache) admissionLimit() int64 {
-	if c.maxBytes <= 0 {
-		return 0
-	}
-	return c.maxBytes / 8
+func newLRU[V any](capacity int, maxBytes, admitDiv int64, weigh func(V) int64, onRemove func(V)) *lru[V] {
+	return &lru[V]{cap: capacity, maxBytes: maxBytes, admitDiv: admitDiv, weigh: weigh, onRemove: onRemove,
+		ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// Get returns the cached body for key and marks it most recently used. The
-// returned slice is shared: callers must not modify it.
-func (c *resultCache) Get(key string) ([]byte, bool) {
-	if c.cap <= 0 {
-		return nil, false
+// newResultCache is the cache of finished response bodies, keyed by the
+// canonical (graph, params) hash (see requestKey). Because a colony run
+// is a bitwise-deterministic function of the graph and the parameters,
+// a cached body is exactly the body a recomputation would produce — the
+// cache trades CPU for memory with no approximation. Bodies above an
+// eighth of the byte budget are not admitted. A capacity <= 0 disables
+// the cache (nil).
+func newResultCache(capacity int, maxBytes int64) *lru[[]byte] {
+	if capacity <= 0 {
+		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return newLRU(capacity, maxBytes, 8, func(b []byte) int64 { return int64(len(b)) }, nil)
 }
 
-// Put stores body under key, evicting least-recently-used entries until
-// both the entry cap and the byte budget hold. Storing an existing key
-// refreshes its recency (and re-weighs it). Bodies above the admission
-// threshold are not cached.
-func (c *resultCache) Put(key string, body []byte) {
-	if c.cap <= 0 {
-		return
+// Get returns the value cached under key and marks it most recently
+// used. Values are shared: callers must not modify them.
+func (c *lru[V]) Get(key string) (v V, ok bool) {
+	if c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		v, ok = c.get(key)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if limit := c.admissionLimit(); limit > 0 && int64(len(body)) > limit {
-		c.oversize++
-		// An oversize Put for a key that somehow was admitted earlier
-		// (the budget could have been reconfigured) must not leave the
-		// stale smaller body behind.
-		if el, ok := c.m[key]; ok {
-			c.remove(el)
-		}
-		return
-	}
+	return v, ok
+}
+
+// get is Get with c.mu held.
+func (c *lru[V]) get(key string) (v V, ok bool) {
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(body)) - int64(len(e.body))
-		e.body = body
-	} else {
-		c.m[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-		c.bytes += int64(len(body))
+		return el.Value.(*lruEntry[V]).v, true
 	}
-	for c.ll.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		oldest := c.ll.Back()
-		if oldest == nil {
-			break
-		}
-		c.remove(oldest)
-	}
+	return v, false
 }
 
-// remove drops an element; the caller holds the lock.
-func (c *resultCache) remove(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
+// Put stores v under key, replacing any entry there, and evicts
+// least-recently-used entries until the entry cap and the byte budget
+// hold. A value above the admission threshold is refused, and any stale
+// entry for key dropped. Put reports whether v was admitted.
+func (c *lru[V]) Put(key string, v V) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.put(key, v)
+}
+
+// put is Put with c.mu held.
+func (c *lru[V]) put(key string, v V) bool {
+	el, ok := c.m[key]
+	if ok {
+		c.remove(el)
+	}
+	w := c.weigh(v)
+	if c.maxBytes > 0 && w > c.maxBytes/c.admitDiv {
+		c.oversize++
+		return false
+	}
+	c.m[key] = c.ll.PushFront(&lruEntry[V]{key, v})
+	c.bytes += w
+	for c.ll.Len() > 1 && (c.cap > 0 && c.ll.Len() > c.cap || c.maxBytes > 0 && c.bytes > c.maxBytes) {
+		c.remove(c.ll.Back())
+	}
+	return true
+}
+
+// remove drops an element; the caller holds c.mu.
+func (c *lru[V]) remove(el *list.Element) {
+	e := c.ll.Remove(el).(*lruEntry[V])
 	delete(c.m, e.key)
-	c.bytes -= int64(len(e.body))
+	c.bytes -= c.weigh(e.v)
+	if c.onRemove != nil {
+		c.onRemove(e.v)
+	}
 }
 
-// Len returns the number of cached entries.
-func (c *resultCache) Len() int {
+// Stats returns the entry count, the cached bytes and the number of
+// values refused admission.
+func (c *lru[V]) Stats() lruStats {
+	if c == nil {
+		return lruStats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes returns the total body bytes currently cached and the number of
-// bodies refused admission for size.
-func (c *resultCache) Bytes() (bytes, oversize int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes, c.oversize
+	return lruStats{c.ll.Len(), c.bytes, c.oversize}
 }

@@ -23,8 +23,8 @@ func TestResultCacheLRU(t *testing.T) {
 			t.Fatalf("%s missing", k)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.Stats().entries != 2 {
+		t.Fatalf("Len = %d, want 2", c.Stats().entries)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestResultCacheOverwrite(t *testing.T) {
 	c := newResultCache(2, 0)
 	c.Put("a", []byte("old"))
 	c.Put("a", []byte("new"))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.Stats().entries != 1 {
+		t.Fatalf("Len = %d, want 1", c.Stats().entries)
 	}
 	got, ok := c.Get("a")
 	if !ok || !bytes.Equal(got, []byte("new")) {
@@ -47,8 +47,8 @@ func TestResultCacheDisabled(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
+	if c.Stats().entries != 0 {
+		t.Fatalf("Len = %d, want 0", c.Stats().entries)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestResultCacheEvictionSweep(t *testing.T) {
 	c := newResultCache(8, 0)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
-		if c.Len() > 8 {
-			t.Fatalf("cache grew to %d entries", c.Len())
+		if c.Stats().entries > 8 {
+			t.Fatalf("cache grew to %d entries", c.Stats().entries)
 		}
 	}
 	// The last 8 inserted survive.
@@ -75,11 +75,11 @@ func TestResultCacheByteBudget(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		c.Put(fmt.Sprintf("k%d", i), make([]byte, 100))
 	}
-	if bytes, _ := c.Bytes(); bytes > 1000 {
+	if bytes := c.Stats().bytes; bytes > 1000 {
 		t.Fatalf("cached %d bytes, budget 1000", bytes)
 	}
-	if c.Len() != 10 {
-		t.Fatalf("Len = %d, want 10 (1000/100)", c.Len())
+	if c.Stats().entries != 10 {
+		t.Fatalf("Len = %d, want 10 (1000/100)", c.Stats().entries)
 	}
 	if _, ok := c.Get("k0"); ok {
 		t.Fatal("oldest entry survived the byte budget")
@@ -106,7 +106,7 @@ func TestResultCacheOversizeAdmission(t *testing.T) {
 			t.Fatalf("k%d evicted by a refused oversize body", i)
 		}
 	}
-	if _, oversize := c.Bytes(); oversize != 1 {
+	if oversize := c.Stats().oversize; oversize != 1 {
 		t.Fatalf("oversize rejects = %d, want 1", oversize)
 	}
 }
@@ -119,7 +119,7 @@ func TestResultCacheOversizeReplacesStaleEntry(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("stale entry survived an oversize re-put")
 	}
-	if bytes, _ := c.Bytes(); bytes != 0 {
+	if bytes := c.Stats().bytes; bytes != 0 {
 		t.Fatalf("bytes = %d after removal, want 0", bytes)
 	}
 }

@@ -13,16 +13,16 @@ import (
 // The push side of the job API. GET /jobs/{id}/events and GET
 // /events?topic= stream job state transitions as Server-Sent Events:
 // one `id:`/`event:`/`data:` block per transition, where the id is the
-// event layer's global monotonic sequence number. A client that
-// reconnects with a Last-Event-ID header (or ?after= — handy with curl)
-// has the transitions it missed replayed from the bounded ring before
-// the live stream resumes, so across one reconnect it observes every
-// transition of its job exactly once, in order — as long as the gap
-// still fits the ring (-event-ring). Heartbeat comments keep idle
-// proxies from reaping the connection; a graceful shutdown ends every
-// stream with an `event: shutdown` block (the streaming cousin of the
-// 503 the request paths answer), and a vanished client just ends the
-// stream (the 499 case — nothing to answer).
+// event layer's global monotonic sequence number. A stream reads the
+// bounded event ring through a cursor that starts at the client's
+// Last-Event-ID header (or ?after= — handy with curl), so a reconnect
+// resumes where the client left off and every matching transition
+// arrives once, in order — or, when some left the ring (-event-ring)
+// before the stream read them, an `event: gap` frame says so. Heartbeat
+// comments keep idle proxies from reaping the connection; a graceful
+// shutdown ends every stream with an `event: shutdown` block (the
+// streaming cousin of the 503 the request paths answer), and a vanished
+// client just ends the stream (the 499 case — nothing to answer).
 
 // sseEvent writes one Server-Sent Event block: the sequence number as
 // the id (so the browser's EventSource reconnect machinery replays from
@@ -63,12 +63,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 		s.httpError(w, http.StatusMethodNotAllowed, "GET streams a job's events")
 		return
 	}
-	_, tracked := s.jobs.Get(id)
-	if !tracked && len(s.jobs.Events().Replay(0, id, "")) == 0 {
-		s.httpError(w, http.StatusNotFound, "no such job %q (finished jobs are retained for a bounded time)", id)
-		return
-	}
-	s.streamEvents(w, r, id, "", true)
+	s.streamEvents(w, r, id, "")
 }
 
 // handleEvents serves GET /events?topic=: the firehose of every job's
@@ -80,16 +75,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusMethodNotAllowed, "GET streams job events (optionally ?topic=label)")
 		return
 	}
-	s.streamEvents(w, r, "", r.URL.Query().Get("topic"), false)
+	s.streamEvents(w, r, "", r.URL.Query().Get("topic"))
 }
 
-// streamEvents is the shared SSE loop. Subscribe first, then replay the
-// ring past the client's last seen sequence number, then serve live
-// events — skipping anything at or below the replay high-water mark, so
-// the subscribe/replay overlap can never duplicate. A slow consumer that
-// the publisher marked as dropped is resynchronised by another ring
-// replay from its last delivered sequence number.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID, topic string, endOnTerminal bool) {
+// streamEvents is the shared SSE loop: read the ring past the cursor,
+// write a gap frame if events were lost and then the events, and wait for
+// the doorbell, a heartbeat, the client leaving or shutdown. A per-job
+// stream (jobID != "") ends after its job's terminal event. The job's
+// Done closes only after that event is published, so a read that starts
+// after Done closed and finds no terminal event ends the stream too,
+// with a gap frame first when the event left the ring unread.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID, topic string) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		s.httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -100,9 +96,24 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID, top
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	events := s.jobs.Events()
-	sub := events.Subscribe(jobID, topic, 64)
+	var done <-chan struct{} // nil, never ready, unless a tracked job's stream
+	job, tracked := s.jobs.Get(jobID)
+	if tracked {
+		done = job.Done()
+	}
+	sub := s.jobs.Events().Subscribe(jobID, topic, last)
 	defer sub.Close()
+	finished := false
+	select {
+	case <-done:
+		finished = true
+	default:
+	}
+	evs, oldest, gap := sub.Read()
+	if jobID != "" && !tracked && len(evs) == 0 {
+		s.httpError(w, http.StatusNotFound, "no such job %q (finished jobs are retained for a bounded time)", jobID)
+		return
+	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -112,72 +123,41 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID, top
 	s.metrics.sseActive.Add(1)
 	defer s.metrics.sseActive.Add(-1)
 
-	// A reconnect whose resume point predates the ring cannot be made
-	// whole; say so instead of silently skipping, so the client knows to
-	// re-fetch state via GET /jobs/{id}.
-	if oldest := events.OldestRetained(); last > 0 && oldest > last+1 {
-		fmt.Fprintf(w, "event: gap\ndata: {\"oldest_retained\":%d,\"after\":%d}\n\n", oldest, last)
-	}
-
-	// emit delivers one event exactly once in sequence order; it reports
-	// whether the stream should end (terminal event on a per-job stream).
-	emit := func(ev batch.Event) (done bool, err error) {
-		if ev.Seq <= last {
-			return false, nil
-		}
-		if err := sseEvent(w, ev); err != nil {
-			return true, err
-		}
-		last = ev.Seq
-		return endOnTerminal && ev.JobID == jobID && ev.State.Terminal(), nil
-	}
-	replay := func() (done bool, err error) {
-		for _, ev := range events.Replay(last, jobID, topic) {
-			if done, err := emit(ev); done || err != nil {
-				return done, err
-			}
-		}
-		return false, nil
-	}
-	if done, err := replay(); done || err != nil {
-		flusher.Flush()
-		return
-	}
-	flusher.Flush()
-
 	heartbeat := time.NewTicker(s.cfg.SSEHeartbeat)
 	defer heartbeat.Stop()
 	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok { // queue closed under us: shutdown
-				fmt.Fprintf(w, "event: shutdown\ndata: {\"reason\":\"server shutting down\"}\n\n")
+		// A loss cannot be made whole; say so instead of silently
+		// skipping, so the client knows to re-fetch state via GET
+		// /jobs/{id}. A finished job's read that holds none of its events
+		// holds no terminal event either: it is at or below the cursor,
+		// or older than the ring — a loss only if the cursor is too.
+		if gap || finished && len(evs) == 0 && last < oldest-1 {
+			fmt.Fprintf(w, "event: gap\ndata: {\"oldest_retained\":%d,\"after\":%d}\n\n", oldest, last)
+		}
+		for _, ev := range evs {
+			if err := sseEvent(w, ev); err != nil {
+				return
+			}
+			last = ev.Seq
+			if jobID != "" && ev.State.Terminal() {
 				flusher.Flush()
 				return
 			}
-			done, err := emit(ev)
-			if err != nil {
-				return
-			}
-			if !done && sub.Dropped() > 0 {
-				// The publisher dropped events for us while the buffer was
-				// full; recover them from the ring before reading on.
-				done, err = replay()
-				if err != nil {
-					return
-				}
-			}
-			flusher.Flush()
-			if done {
-				return
-			}
+		}
+		flusher.Flush()
+		if finished {
+			return
+		}
+		select {
+		case <-sub.Ready():
+		case <-done:
+			finished = true
 		case <-heartbeat.C:
 			// A comment line: ignored by SSE clients, keeps proxies and
 			// load balancers convinced the connection is alive.
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
 				return
 			}
-			flusher.Flush()
 		case <-r.Context().Done():
 			// Client gone (or the server cancelled its base context): the
 			// streaming analogue of 499 — nothing left to tell anyone.
@@ -187,5 +167,6 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID, top
 			flusher.Flush()
 			return
 		}
+		evs, oldest, gap = sub.Read()
 	}
 }

@@ -63,7 +63,6 @@ const metricsGolden = `{
   "events": {
     "published": 90,
     "last_seq": 90,
-    "dropped": 5,
     "subscribers": 2,
     "ring_len": 90
   },
@@ -147,7 +146,7 @@ func TestMetricsSnapshotGoldenShape(t *testing.T) {
 			Done: 25, Failed: 2, Canceled: 1, Expired: 3, Depth: 64, Workers: 8,
 		},
 		Events: batch.EventStats{
-			Published: 90, LastSeq: 90, Dropped: 5, Subscribers: 2, RingLen: 90,
+			Published: 90, LastSeq: 90, Subscribers: 2, RingLen: 90,
 		},
 		Cluster: &shard.ClusterMetrics{
 			Workers: 2, IdleWorkers: 1, Runs: 7, RunErrors: 1,

@@ -115,7 +115,7 @@ type MetricsSnapshot struct {
 	// the depth bound), and per-outcome counters.
 	Jobs batch.Stats `json:"jobs"`
 	// Events summarises the push layer: transitions published, the newest
-	// sequence number, subscriber-side drops, and the replay ring.
+	// sequence number, subscribers, and the event ring.
 	Events batch.EventStats `json:"events"`
 	// Cluster is the shard coordinator's snapshot — fleet size, runs,
 	// epochs, migrations, per-shard epoch latency. Present only on a
@@ -133,7 +133,7 @@ type LatencyQuantile struct {
 	P99   float64 `json:"p99"`
 }
 
-func (m *serverMetrics) snapshot(cacheEntries int, cacheBytes, cacheOversize int64, warmEntries int, warmBytes int64, jobs batch.Stats, events batch.EventStats, cluster *shard.ClusterMetrics, rt obs.RuntimeStats) MetricsSnapshot {
+func (m *serverMetrics) snapshot(cache, warm lruStats, jobs batch.Stats, events batch.EventStats, cluster *shard.ClusterMetrics, rt obs.RuntimeStats) MetricsSnapshot {
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	rate := 0.0
 	if hits+misses > 0 {
@@ -147,14 +147,14 @@ func (m *serverMetrics) snapshot(cacheEntries int, cacheBytes, cacheOversize int
 		CacheHits:            hits,
 		CacheMisses:          misses,
 		CacheHitRate:         rate,
-		CacheEntries:         cacheEntries,
-		CacheBytes:           cacheBytes,
-		CacheOversizeRejects: cacheOversize,
+		CacheEntries:         cache.entries,
+		CacheBytes:           cache.bytes,
+		CacheOversizeRejects: cache.oversize,
 		WarmHits:             m.warmHits.Load(),
 		WarmMisses:           m.warmMisses.Load(),
 		WarmToursSaved:       m.warmToursSaved.Load(),
-		WarmEntries:          warmEntries,
-		WarmBytes:            warmBytes,
+		WarmEntries:          warm.entries,
+		WarmBytes:            warm.bytes,
 		Coalesced:            m.coalesced.Load(),
 		Errors:               m.errors.Load(),
 		Timeouts:             m.timeouts.Load(),

@@ -107,8 +107,6 @@ func writeProm(w io.Writer, m MetricsSnapshot) error {
 	p.Value("daglayer_events_published_total", float64(m.Events.Published))
 	p.Family("daglayer_events_last_seq", "gauge", "Sequence number of the newest event.")
 	p.Value("daglayer_events_last_seq", float64(m.Events.LastSeq))
-	p.Family("daglayer_events_dropped_total", "counter", "Events dropped by full subscriber buffers.")
-	p.Value("daglayer_events_dropped_total", float64(m.Events.Dropped))
 	p.Family("daglayer_event_subscribers", "gauge", "Current event subscriptions.")
 	p.Value("daglayer_event_subscribers", float64(m.Events.Subscribers))
 	p.Family("daglayer_event_ring_len", "gauge", "Events the replay ring retains.")

@@ -94,8 +94,9 @@ type Config struct {
 	// until the count bound evicts them.
 	JobExpiry time.Duration
 	// EventRing bounds how many job state transitions the event layer
-	// retains for SSE replay after a reconnect (Last-Event-ID). 0 means
-	// 1024.
+	// retains. SSE streams read only from this ring, so it bounds both how
+	// far back a reconnect (Last-Event-ID) can resume and how far a live
+	// stream may lag before it gets a gap frame. 0 means 1024.
 	EventRing int
 	// SSEHeartbeat is the interval between comment heartbeats on idle
 	// event streams, keeping proxies from reaping the connection.
@@ -194,7 +195,7 @@ func (c Config) withDefaults() Config {
 // run with Serve/ListenAndServe.
 type Server struct {
 	cfg   Config
-	cache *resultCache
+	cache *lru[[]byte] // nil when disabled; see newResultCache
 	// warm is the warm-start state cache (nil when disabled): prior
 	// colony states keyed by canonical graph hash, probed by vertex-name
 	// similarity. See warm.go.
@@ -334,9 +335,11 @@ func (s *Server) Metrics() MetricsSnapshot {
 		cm := s.cfg.Coordinator.Metrics()
 		cluster = &cm
 	}
-	cacheBytes, cacheOversize := s.cache.Bytes()
-	warmEntries, warmBytes := s.warm.stats()
-	return s.metrics.snapshot(s.cache.Len(), cacheBytes, cacheOversize, warmEntries, warmBytes, s.jobs.Stats(), s.jobs.Events().Stats(), cluster, obs.ReadRuntime())
+	var warm lruStats
+	if s.warm != nil {
+		warm = s.warm.Stats()
+	}
+	return s.metrics.snapshot(s.cache.Stats(), warm, s.jobs.Stats(), s.jobs.Events().Stats(), cluster, obs.ReadRuntime())
 }
 
 // log returns the structured logger (never nil).
@@ -527,29 +530,24 @@ func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, sourc
 
 // islandRunner resolves where an algo=island request burns its CPU: on
 // the shard coordinator's worker fleet when the request asked to be
-// distributed and workers are registered, in-process otherwise (nil).
-// An empty fleet falls back to the local archipelago rather than failing
-// the request — the bytes are identical either way, so availability wins
-// — and the fallback is counted so operators notice a fleet that never
-// fills. A full admission queue (shard.ErrRunQueueFull) does NOT fall
-// back: the cluster is saturated, so shedding the request with 429 +
-// Retry-After beats piling the work onto the coordinator's own CPU. A
-// fallback run computes locally, so it takes a compute slot first.
+// distributed, in-process otherwise (nil). When the coordinator's
+// admission finds an empty fleet (shard.ErrNoWorkers), the run falls
+// back to the local archipelago rather than failing the request — the
+// bytes are identical either way, so availability wins — and the
+// fallback is counted so operators notice a fleet that never fills. A
+// full admission queue (shard.ErrRunQueueFull) does NOT fall back: the
+// cluster is saturated, so shedding the request with 429 + Retry-After
+// beats piling the work onto the coordinator's own CPU. A fallback run
+// computes locally, so it takes a compute slot first.
 func (s *Server) islandRunner(req Request) IslandRunner {
 	if !req.Distributed || s.cfg.Coordinator == nil {
-		return nil
-	}
-	if s.cfg.Coordinator.Workers() == 0 {
-		s.metrics.distFallbacks.Add(1)
-		s.log().Warn("distributed request with no registered workers; running in-process")
 		return nil
 	}
 	return func(ctx context.Context, g *antlayer.Graph, p antlayer.IslandParams) (*antlayer.IslandResult, error) {
 		res, err := s.cfg.Coordinator.RunIsland(ctx, g, p)
 		if errors.Is(err, shard.ErrNoWorkers) {
-			// The fleet drained between the check and the run.
 			s.metrics.distFallbacks.Add(1)
-			s.log().Warn("worker fleet drained mid-request; running in-process",
+			s.log().Warn("distributed request with no registered workers; running in-process",
 				"trace", obs.FromContext(ctx).ID())
 			release, err := s.takeSlot(ctx)
 			if err != nil {

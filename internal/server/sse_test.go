@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -257,5 +258,100 @@ func TestSSEMetricsCount(t *testing.T) {
 	}
 	if m.Events.Published < 3 {
 		t.Fatalf("events.published = %d, want >= 3", m.Events.Published)
+	}
+}
+
+// readUntilEOF reads a stream's frames until it ends, failing the test
+// if it is still open after 2s (heartbeats keep an idle stream alive).
+func readUntilEOF(t *testing.T, resp *http.Response) []sseFrame {
+	t.Helper()
+	done := make(chan []sseFrame, 1)
+	go func() {
+		frames, _ := readFrames(t, bufio.NewReader(resp.Body), 100)
+		done <- frames
+	}()
+	select {
+	case frames := <-done:
+		return frames
+	case <-time.After(2 * time.Second):
+		resp.Body.Close()
+		t.Fatalf("stream still open after 2s (got %+v)", <-done)
+		return nil
+	}
+}
+
+// TestSSEResumeOlderThanRingGetsGap: a resume id the ring no longer
+// reaches gets a gap frame first, then the retained events.
+func TestSSEResumeOlderThanRingGetsGap(t *testing.T) {
+	_, ts := newTestServer(t, Config{EventRing: 4})
+	_, first := postJob(t, ts, "seed=1&tours=2", demoDOT)
+	pollUntilTerminal(t, ts, first.ID)
+	_, second := postJob(t, ts, "seed=2&tours=2", demoDOT)
+	pollUntilTerminal(t, ts, second.ID)
+
+	// Seqs 1-6: the ring holds 3-6, so resuming after 1 lost seq 2.
+	resp := openStream(t, ts, "/jobs/"+second.ID+"/events", 1)
+	defer resp.Body.Close()
+	frames := readUntilEOF(t, resp)
+	want := []string{"gap", "queued", "running", "done"}
+	if len(frames) != len(want) {
+		t.Fatalf("frames %+v, want %v", frames, want)
+	}
+	for i, f := range frames {
+		if f.event != want[i] {
+			t.Fatalf("frame %d = %q, want %q (frames %+v)", i, f.event, want[i], frames)
+		}
+	}
+	if frames[0].data != `{"oldest_retained":3,"after":1}` {
+		t.Fatalf("gap data %s", frames[0].data)
+	}
+}
+
+// TestSSEFinishedJobEndsAfterItsEventsLeftTheRing: a still-tracked job
+// whose events all left the ring gets a gap frame and an ended stream,
+// not heartbeats forever. A finished job's stream resumed at its
+// terminal event ends with nothing to send: nothing was lost.
+func TestSSEFinishedJobEndsAfterItsEventsLeftTheRing(t *testing.T) {
+	_, ts := newTestServer(t, Config{EventRing: 4, SSEHeartbeat: 50 * time.Millisecond})
+	_, first := postJob(t, ts, "seed=1&tours=2", demoDOT)
+	pollUntilTerminal(t, ts, first.ID)
+	var last jobStatusView
+	for seed := 2; seed <= 4; seed++ {
+		_, last = postJob(t, ts, "tours=2&seed="+strconv.Itoa(seed), demoDOT)
+		pollUntilTerminal(t, ts, last.ID)
+	}
+	resp := openStream(t, ts, "/jobs/"+first.ID+"/events", 0)
+	defer resp.Body.Close()
+	if frames := readUntilEOF(t, resp); len(frames) != 1 || frames[0].event != "gap" {
+		t.Fatalf("frames %+v, want one gap frame", frames)
+	}
+	// Seqs 1-12: the last job finished at 12.
+	resp = openStream(t, ts, "/jobs/"+last.ID+"/events", 12)
+	defer resp.Body.Close()
+	if frames := readUntilEOF(t, resp); len(frames) != 0 {
+		t.Fatalf("resume at the terminal event sent %+v, want nothing", frames)
+	}
+}
+
+// TestSSELargestLastEventID: a resume id of 2^64-1 neither panics nor
+// replays anything; the stream idles on heartbeats.
+func TestSSELargestLastEventID(t *testing.T) {
+	_, ts := newTestServer(t, Config{SSEHeartbeat: 30 * time.Millisecond})
+	_, status := postJob(t, ts, "seed=1&tours=2", demoDOT)
+	pollUntilTerminal(t, ts, status.ID)
+	resp := openStream(t, ts, "/events", math.MaxUint64)
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended before a heartbeat: %v", err)
+		}
+		if strings.HasPrefix(line, ":") {
+			return
+		}
+		if line != "\n" {
+			t.Fatalf("stream sent %q before its first heartbeat", line)
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"math"
 	"sort"
 	"strconv"
-	"sync"
 
 	"antlayer/internal/core"
 )
@@ -22,7 +20,7 @@ const (
 	warmMinSimilarity = 0.5
 )
 
-// warmCache is the daemon's second cache: where resultCache holds
+// warmCache is the daemon's second cache: where the result cache holds
 // finished bodies keyed by the full (graph, params) hash, warmCache
 // holds colony States keyed by the canonical graph hash alone (see
 // graphKey), so a request for a graph the daemon has never seen in this
@@ -33,25 +31,22 @@ const (
 // the overlap ratio clears warmMinSimilarity. Clients that know
 // their lineage skip the probe with the base= knob.
 //
-// Eviction is byte-weighted LRU against the configured budget (a
-// pheromone matrix is O(N·L) float64s — a few hundred KiB for the
-// corpus sizes, tens of MiB for large graphs), and a single state
+// Storage is the shared byte-weighted LRU (see lru) with no entry cap:
+// a pheromone matrix is O(N·L) float64s — a few hundred KiB for the
+// corpus sizes, tens of MiB for large graphs — and a single state
 // bigger than a quarter of the budget is never admitted. Storing a key
 // again replaces the entry and bumps its generation; the generation is
 // part of every warm result-cache key, so a body computed against an
 // older state is never replayed for a newer one.
 //
-// Safe for concurrent use. States are stored and handed out as-is:
-// Server.warmPlan remaps (copies) before a colony ever sees one, and
-// everything else treats them as immutable.
+// Safe for concurrent use (the LRU's mutex guards gen and index too).
+// States are stored and handed out as-is: Server.warmPlan remaps
+// (copies) before a colony ever sees one, and everything else treats
+// them as immutable.
 type warmCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	gen      uint64
-	ll       *list.List // front = most recently used
-	m        map[string]*list.Element
-	index    map[string]map[*list.Element]struct{} // vertex name → entries containing it
+	*lru[*warmEntry]
+	gen   uint64
+	index map[string]map[*warmEntry]struct{} // vertex name → entries containing it
 }
 
 type warmEntry struct {
@@ -60,16 +55,22 @@ type warmEntry struct {
 	tokens []string // unique vertex names, for index bookkeeping
 	state  *core.State
 	gen    uint64
-	bytes  int64
+}
+
+// weight is the entry's LRU weight: the state's estimated resident size
+// plus the name bytes.
+func (e *warmEntry) weight() int64 {
+	n := e.state.MemoryBytes()
+	for _, name := range e.names {
+		n += int64(len(name)) + 16
+	}
+	return n
 }
 
 func newWarmCache(maxBytes int64) *warmCache {
-	return &warmCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		m:        make(map[string]*list.Element),
-		index:    make(map[string]map[*list.Element]struct{}),
-	}
+	c := &warmCache{index: make(map[string]map[*warmEntry]struct{})}
+	c.lru = newLRU(0, maxBytes, 4, (*warmEntry).weight, c.unindex)
+	return c
 }
 
 // uniqueNames returns the sorted distinct vertex names — the token set
@@ -87,87 +88,45 @@ func uniqueNames(names []string) []string {
 	return out
 }
 
-// put stores (or replaces) the state for a graph. The entry's weight is
-// the state's estimated resident size plus the name bytes.
+// put stores (or replaces) the state for a graph.
 func (c *warmCache) put(key string, names []string, state *core.State) {
 	if c == nil || state == nil {
 		return
-	}
-	bytes := state.MemoryBytes()
-	for _, n := range names {
-		bytes += int64(len(n)) + 16
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && bytes > c.maxBytes/4 {
-		// One giant matrix would purge most of the working set; existing
-		// entries keep serving instead.
-		if el, ok := c.m[key]; ok {
-			c.removeLocked(el)
-		}
-		return
-	}
-	c.gen++
-	if el, ok := c.m[key]; ok {
-		c.removeLocked(el)
 	}
 	e := &warmEntry{
 		key:    key,
 		names:  append([]string(nil), names...),
 		tokens: uniqueNames(names),
 		state:  state,
-		gen:    c.gen,
-		bytes:  bytes,
 	}
-	el := c.ll.PushFront(e)
-	c.m[key] = el
-	c.bytes += bytes
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.lru.put(key, e) {
+		return
+	}
+	c.gen++
+	e.gen = c.gen
 	for _, tok := range e.tokens {
 		set := c.index[tok]
 		if set == nil {
-			set = make(map[*list.Element]struct{})
+			set = make(map[*warmEntry]struct{})
 			c.index[tok] = set
 		}
-		set[el] = struct{}{}
-	}
-	for c.maxBytes > 0 && c.bytes > c.maxBytes {
-		oldest := c.ll.Back()
-		if oldest == nil || oldest == el {
-			break
-		}
-		c.removeLocked(oldest)
+		set[e] = struct{}{}
 	}
 }
 
-func (c *warmCache) removeLocked(el *list.Element) {
-	e := el.Value.(*warmEntry)
-	c.ll.Remove(el)
-	delete(c.m, e.key)
-	c.bytes -= e.bytes
+// unindex is the LRU's removal hook: it drops an entry from the name
+// index.
+func (c *warmCache) unindex(e *warmEntry) {
 	for _, tok := range e.tokens {
 		if set := c.index[tok]; set != nil {
-			delete(set, el)
+			delete(set, e)
 			if len(set) == 0 {
 				delete(c.index, tok)
 			}
 		}
 	}
-}
-
-// get returns the entry for an exact graph key (the base= path) and
-// marks it recently used.
-func (c *warmCache) get(key string) (*warmEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*warmEntry), true
 }
 
 // probe finds the cached graph most similar to the request's vertex-name
@@ -178,50 +137,35 @@ func (c *warmCache) get(key string) (*warmEntry, bool) {
 // deterministic for a given cache content. Returns nil when nothing
 // clears the bar.
 func (c *warmCache) probe(names []string, minSim float64) (*warmEntry, float64) {
-	if c == nil {
-		return nil, 0
-	}
 	tokens := uniqueNames(names)
 	if len(tokens) == 0 {
 		return nil, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	votes := make(map[*list.Element]int)
+	votes := make(map[*warmEntry]int)
 	for _, tok := range tokens {
-		for el := range c.index[tok] {
-			votes[el]++
+		for e := range c.index[tok] {
+			votes[e]++
 		}
 	}
-	var best *list.Element
+	var best *warmEntry
 	bestSim := 0.0
-	for el, shared := range votes {
-		e := el.Value.(*warmEntry)
+	for e, shared := range votes {
 		denom := len(tokens)
 		if len(e.tokens) > denom {
 			denom = len(e.tokens)
 		}
 		sim := float64(shared) / float64(denom)
-		if best == nil || sim > bestSim ||
-			(sim == bestSim && e.gen > best.Value.(*warmEntry).gen) {
-			best, bestSim = el, sim
+		if best == nil || sim > bestSim || (sim == bestSim && e.gen > best.gen) {
+			best, bestSim = e, sim
 		}
 	}
 	if best == nil || bestSim < minSim {
 		return nil, 0
 	}
-	c.ll.MoveToFront(best)
-	return best.Value.(*warmEntry), bestSim
-}
-
-// stats returns the entry count and resident bytes for /metrics.
-func (c *warmCache) stats() (entries int, bytes int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len(), c.bytes
+	c.lru.get(best.key) // mark it recently used
+	return best, bestSim
 }
 
 // warmRun carries what computeCached needs to serve a warm-started call:
@@ -266,7 +210,7 @@ func (s *Server) warmPlan(c *call) {
 	var entry *warmEntry
 	sim := 1.0
 	if req.Base != "" {
-		entry, _ = s.warm.get(req.Base)
+		entry, _ = s.warm.Get(req.Base) // the exact graph key
 	} else {
 		entry, sim = s.warm.probe(c.names, warmMinSimilarity)
 	}

@@ -296,31 +296,32 @@ func TestWarmCacheEvictionAndGenerations(t *testing.T) {
 	c := newWarmCache(8 << 10)
 	// An entry above a quarter of the budget is refused.
 	c.put("big", names(40, "b"), mkState(40, 20)) // 40 rows × 20 cols × 8B > 2 KiB
-	if e, b := c.stats(); e != 0 {
-		t.Fatalf("oversize state admitted (%d entries, %d bytes)", e, b)
+	if st := c.Stats(); st.entries != 0 {
+		t.Fatalf("oversize state admitted (%d entries, %d bytes)", st.entries, st.bytes)
 	}
 	// Fill until eviction: each small state ~1 KiB.
 	for i := 0; i < 12; i++ {
 		c.put(fmt.Sprintf("k%d", i), names(10, fmt.Sprintf("s%d_", i)), mkState(10, 12))
 	}
-	entries, bytes := c.stats()
+	st := c.Stats()
+	entries, bytes := st.entries, st.bytes
 	if bytes > 8<<10 {
 		t.Errorf("cache holds %d bytes over the 8 KiB budget", bytes)
 	}
 	if entries == 0 || entries == 12 {
 		t.Errorf("eviction kept %d of 12 entries, want some but not all", entries)
 	}
-	if _, ok := c.get("k0"); ok {
+	if _, ok := c.Get("k0"); ok {
 		t.Error("oldest entry survived eviction")
 	}
 
 	// Replacement bumps the generation.
 	c2 := newWarmCache(1 << 20)
 	c2.put("g", names(5, "v"), mkState(5, 4))
-	e1, _ := c2.get("g")
+	e1, _ := c2.Get("g")
 	gen1 := e1.gen
 	c2.put("g", names(5, "v"), mkState(5, 4))
-	e2, _ := c2.get("g")
+	e2, _ := c2.Get("g")
 	if e2.gen <= gen1 {
 		t.Errorf("replacement generation %d not above %d", e2.gen, gen1)
 	}

@@ -90,8 +90,8 @@ type workerConn struct {
 // Coordinator owns the distributed archipelago's ring: workers register
 // with it, and RunIsland partitions an island run across them, plays the
 // epoch barrier and the ring exchange, and assembles the result. Create
-// with NewCoordinator, serve with Serve (or ListenAndServe), stop by
-// cancelling Serve's context.
+// with NewCoordinator, serve with Serve, stop by cancelling Serve's
+// context.
 //
 // Every registered worker's connection is owned by a dedicated reader
 // goroutine: heartbeats update the liveness clock, run frames are routed
@@ -185,16 +185,6 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 		}
 		go c.handshake(conn)
 	}
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	c.cfg.Log.Info("coordinator listening", "addr", ln.Addr().String())
-	return c.Serve(ctx, ln)
 }
 
 // reapLoop periodically expels workers that have gone silent past the
