@@ -18,7 +18,7 @@ package coffmangraham
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"antlayer/internal/dag"
 	"antlayer/internal/layering"
@@ -127,7 +127,8 @@ func succLabelsDesc(g *dag.Graph, labels []int, v int) []int {
 	for _, w := range g.Succ(v) {
 		seq = append(seq, labels[w])
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seq)))
+	slices.Sort(seq)
+	slices.Reverse(seq)
 	return seq
 }
 

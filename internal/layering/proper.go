@@ -2,6 +2,7 @@ package layering
 
 import (
 	"fmt"
+	"strconv"
 
 	"antlayer/internal/dag"
 )
@@ -35,16 +36,18 @@ func (l *Layering) MakeProper(dummyWidth float64) (*Proper, error) {
 		return nil, fmt.Errorf("layering: dummy width must be positive, got %g", dummyWidth)
 	}
 	n := l.g.N()
-	pg := dag.New(n)
+	dummies := l.DummyCount()
+	pg := dag.New(n + dummies)
 	for v := 0; v < n; v++ {
 		pg.SetWidth(v, l.g.Width(v))
 		pg.SetLabel(v, l.g.Label(v))
 	}
-	assign := make([]int, n, n+l.DummyCount())
+	assign := make([]int, n, n+dummies)
 	copy(assign, l.layer)
-	isDummy := make([]bool, n, n+l.DummyCount())
+	isDummy := make([]bool, n+dummies)
 	chains := make(map[dag.Edge][]int)
 
+	var label []byte
 	for _, e := range l.g.Edges() {
 		span := l.layer[e.U] - l.layer[e.V]
 		if span == 1 {
@@ -57,11 +60,15 @@ func (l *Layering) MakeProper(dummyWidth float64) (*Proper, error) {
 		chain = append(chain, e.U)
 		prev := e.U
 		for layer := l.layer[e.U] - 1; layer > l.layer[e.V]; layer-- {
-			d := pg.AddVertex()
+			d := len(assign) // dummies are numbered n, n+1, … in creation order
 			pg.SetWidth(d, dummyWidth)
-			pg.SetLabel(d, fmt.Sprintf("d(%d,%d)@%d", e.U, e.V, layer))
+			// The label reads d(u,v)@layer.
+			label = strconv.AppendInt(append(label[:0], "d("...), int64(e.U), 10)
+			label = strconv.AppendInt(append(label, ','), int64(e.V), 10)
+			label = strconv.AppendInt(append(label, ")@"...), int64(layer), 10)
+			pg.SetLabel(d, string(label))
 			assign = append(assign, layer)
-			isDummy = append(isDummy, true)
+			isDummy[d] = true
 			if err := pg.AddEdge(prev, d); err != nil {
 				return nil, err
 			}

@@ -60,21 +60,87 @@ func reject(status int, format string, args ...any) *rejection {
 // reader runs, so parse can answer it unchanged.
 func (r *rejection) Error() string { return r.msg }
 
-// maxColonyBytes bounds one request's colonies: core.ColonyMemoryBytes
-// times the colony count, which grows with n² from a small body.
-const maxColonyBytes = 256 << 20
+// maxRequestBytes bounds the memory one request's computation may hold:
+// its colonies, its layering and answer, its drawing.
+const maxRequestBytes = 256 << 20
 
-// colonyBound refuses 413 when the request's colonies over n vertices
-// would hold more than maxColonyBytes; nil admits them.
-func colonyBound(req Request, n int) *rejection {
-	k := req.colonies()
-	if k == 0 {
-		return nil
+// The bounds below are estimates measured on go1.24 amd64, rounded up by
+// about a tenth: the bytes an lpl or ns request allocates per vertex of a
+// header-only edge list (graph, names, layering and the answer's name
+// list: ~315), and the n at which minwidth and cg, whose running time
+// grows with n², take about a second on such a graph.
+const (
+	linearBytesPerVertex = 384
+	maxQuadraticVertices = 7000
+)
+
+// computeBound refuses 413 a request whose algorithm over n vertices would
+// hold more than maxRequestBytes or run for more than about a second with
+// no deadline check: the colony memory estimate for aco and island, the
+// vertex cap for minwidth and cg, a linear estimate for lpl and ns. nil
+// admits it.
+func computeBound(req Request, n int) *rejection {
+	switch req.Algo {
+	case "aco", "island":
+		k := req.colonies()
+		if est := core.ColonyMemoryBytes(n, req.ACO); est > maxRequestBytes/int64(k) {
+			return reject(http.StatusRequestEntityTooLarge,
+				"colony memory estimate %.4g MiB (n=%d, ants=%d, tours=%d, colonies=%d) exceeds the %d MiB limit",
+				float64(est)*float64(k)/(1<<20), n, req.ACO.Ants, req.ACO.Tours, k, maxRequestBytes>>20)
+		}
+	case "minwidth", "cg":
+		if n > maxQuadraticVertices {
+			return reject(http.StatusRequestEntityTooLarge,
+				"%s running time grows with n²: n=%d exceeds the %d-vertex limit", req.Algo, n, maxQuadraticVertices)
+		}
+	default:
+		if est := float64(n) * linearBytesPerVertex; est > maxRequestBytes {
+			return reject(http.StatusRequestEntityTooLarge,
+				"%s memory estimate %.4g MiB (n=%d) exceeds the %d MiB limit", req.Algo, est/(1<<20), n, maxRequestBytes>>20)
+		}
 	}
-	if est := core.ColonyMemoryBytes(n, req.ACO); est > maxColonyBytes/int64(k) {
+	return nil
+}
+
+// The measured allocation of a drawing rendered through Compute, rounded
+// up by about a tenth: per real vertex (its box, ~2.3 KB), per dummy
+// vertex (~600 B), per edge (its polyline, ~1.6 KB) and per byte of label
+// text (~20 B), plus ~130 B more for each & < > " in a label, which the
+// SVG escapes and the JSON body escapes again.
+const (
+	drawBytesPerVertex    = 2560
+	drawBytesPerDummy     = 640
+	drawBytesPerEdge      = 1792
+	drawBytesPerLabelByte = 24
+	drawBytesPerEscape    = 128
+)
+
+// drawingBound refuses 413 a drawing of l whose estimate exceeds
+// maxRequestBytes. It counts the proper graph in O(m) from the normalized
+// layering the drawing uses — the vertices plus one dummy for each layer
+// an edge skips — and the label text, before Draw allocates any of it.
+// nil admits it.
+func drawingBound(l *antlayer.Layering) *rejection {
+	g, norm := l.Graph(), l.Clone()
+	norm.Normalize()
+	dummies := norm.DummyCount()
+	labelBytes, escapes := 0, 0
+	for v := range g.N() {
+		label := g.Label(v)
+		labelBytes += len(label)
+		for i := 0; i < len(label); i++ {
+			switch label[i] {
+			case '&', '<', '>', '"':
+				escapes++
+			}
+		}
+	}
+	est := float64(g.N())*drawBytesPerVertex + float64(dummies)*drawBytesPerDummy + float64(g.M())*drawBytesPerEdge +
+		float64(labelBytes)*drawBytesPerLabelByte + float64(escapes)*drawBytesPerEscape
+	if est > maxRequestBytes {
 		return reject(http.StatusRequestEntityTooLarge,
-			"colony memory estimate %.4g MiB (n=%d, ants=%d, tours=%d, colonies=%d) exceeds the %d MiB limit",
-			float64(est)*float64(k)/(1<<20), n, req.ACO.Ants, req.ACO.Tours, k, maxColonyBytes>>20)
+			"drawing memory estimate %.4g MiB (n=%d, m=%d, dummies=%d, label bytes=%d) exceeds the %d MiB limit",
+			est/(1<<20), g.N(), g.M(), dummies, labelBytes, maxRequestBytes>>20)
 	}
 	return nil
 }
@@ -116,7 +182,7 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 	// An edge list is bounded at its header, before a vertex of it is
 	// allocated; a DOT graph once it is parsed.
 	g, names, err := parseGraph(req, body, func(n int) error {
-		if rej := colonyBound(req, n); rej != nil {
+		if rej := computeBound(req, n); rej != nil {
 			return rej
 		}
 		return nil
@@ -132,7 +198,7 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 		}
 		return nil, reject(http.StatusBadRequest, "bad %s input: %v", req.Format, err)
 	}
-	if rej := colonyBound(req, g.N()); rej != nil {
+	if rej := computeBound(req, g.N()); rej != nil {
 		return nil, rej
 	}
 	return &call{req: req, g: g, names: names}, nil

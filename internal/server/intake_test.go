@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -187,7 +188,7 @@ func TestRequestKeysGolden(t *testing.T) {
 }
 
 // TestPrepareBoundsColonyMemory: a request whose colonies would hold more
-// than maxColonyBytes is refused 413 before anything is allocated — a
+// than maxRequestBytes is refused 413 before anything is allocated — a
 // wide graph under a tiny colony, a small graph under a huge one, an ant
 // count that would overflow the estimate, and a tour count whose History
 // alone would — while an ordinary island request passes.
@@ -221,24 +222,33 @@ func TestPrepareBoundsColonyMemory(t *testing.T) {
 	}
 }
 
-// TestPrepareBoundsAtHeader: an edge list whose header alone breaks the
-// colony bound is refused at the header — with the 413 the built graph
-// would get — before a vertex of it is allocated. Building the graph
-// first would cost this 10-byte body 4M vertices and their names, some
-// 400 MB.
+// TestPrepareBoundsAtHeader: an edge list whose header alone breaks its
+// algorithm's bound is refused at the header — with the 413 the built
+// graph would get — before a vertex of it is allocated: the colony
+// estimate, the linear estimate of lpl and ns, and the vertex cap of the
+// quadratic-time minwidth and cg. Building the graph first would cost the
+// 10-byte colony body 4M vertices and their names, some 400 MB; computing
+// the minwidth one would take minutes.
 func TestPrepareBoundsAtHeader(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, rej := s.prepare(url.Values{"format": {"edges"}}, strings.NewReader("4194304 0\n"), nil)
-	runtime.ReadMemStats(&after)
-	const want = "colony memory estimate 2.684e+08 MiB (n=4194304, ants=10, tours=10, colonies=1) exceeds the 256 MiB limit"
-	if rej == nil || rej.status != http.StatusRequestEntityTooLarge || rej.msg != want {
-		t.Fatalf("rejection %+v, want 413 %q", rej, want)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Errorf("refusing the header allocated %d bytes, want < 1 MiB", alloc)
+	for _, c := range []struct{ algo, header, want string }{
+		{"aco", "4194304 0\n", "colony memory estimate 2.684e+08 MiB (n=4194304, ants=10, tours=10, colonies=1) exceeds the 256 MiB limit"},
+		{"lpl", "1048576 0\n", "lpl memory estimate 384 MiB (n=1048576) exceeds the 256 MiB limit"},
+		{"ns", "1048576 0\n", "ns memory estimate 384 MiB (n=1048576) exceeds the 256 MiB limit"},
+		{"minwidth", "1048576 0\n", "minwidth running time grows with n²: n=1048576 exceeds the 7000-vertex limit"},
+		{"cg", "8000 0\n", "cg running time grows with n²: n=8000 exceeds the 7000-vertex limit"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, rej := s.prepare(url.Values{"format": {"edges"}, "algo": {c.algo}}, strings.NewReader(c.header), nil)
+		runtime.ReadMemStats(&after)
+		if rej == nil || rej.status != http.StatusRequestEntityTooLarge || rej.msg != c.want {
+			t.Errorf("%s: rejection %+v, want 413 %q", c.algo, rej, c.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: refusing the header allocated %d bytes, want < 1 MiB", c.algo, alloc)
+		}
 	}
 }
 
@@ -347,18 +357,7 @@ func FuzzParseRequest(f *testing.F) {
 // send: the 424-byte n=55 corpus edge list under hot-repeat's query, and
 // an n=60 edit-chain DOT body under edit-stream's algorithm.
 func BenchmarkIntake(b *testing.B) {
-	groups, err := graphgen.CorpusSample(7, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var edges bytes.Buffer
-	for _, gr := range groups {
-		if gr.Vertices == 55 {
-			if err := dot.WriteEdgeList(&edges, gr.Graphs[0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	edges := corpusEdgeList(b, 55)
 	chain, names, err := graphgen.DeltaChain(7, 60, 1, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -377,7 +376,7 @@ func BenchmarkIntake(b *testing.B) {
 		name, query string
 		body        []byte
 	}{
-		{"edges", "format=edges&warm=false&seed=117440512", edges.Bytes()},
+		{"edges", "format=edges&warm=false&seed=117440512", edges},
 		{"dot", "algo=aco&warm=false", dotBody.Bytes()},
 	} {
 		q, err := url.ParseQuery(c.query)
@@ -392,5 +391,48 @@ func BenchmarkIntake(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// corpusEdgeList is the edge list of the first n-vertex graph of the seed-7
+// corpus sample: for n=55, the 424-byte body BenchmarkIntake and
+// BenchmarkRender send.
+func corpusEdgeList(tb testing.TB, n int) []byte {
+	tb.Helper()
+	groups, err := graphgen.CorpusSample(7, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var edges bytes.Buffer
+	for _, gr := range groups {
+		if gr.Vertices == n {
+			if err := dot.WriteEdgeList(&edges, gr.Graphs[0]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return edges.Bytes()
+}
+
+// BenchmarkRender measures Compute on the n=55 corpus edge list under
+// algo=lpl&render=svg: a layering that costs microseconds, so the drawing
+// — crossing minimisation, coordinates, the SVG writer and the JSON
+// escaping of the SVG — is nearly all of it.
+func BenchmarkRender(b *testing.B) {
+	q, err := url.ParseQuery("format=edges&algo=lpl&render=svg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{})
+	defer s.Close()
+	c, rej := s.prepare(q, bytes.NewReader(corpusEdgeList(b, 55)), nil)
+	if rej != nil {
+		b.Fatalf("refused: %+v", rej)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, _, err := Compute(context.Background(), c.req, c.g, c.names, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

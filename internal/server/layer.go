@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -13,6 +12,7 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"antlayer"
@@ -449,9 +449,11 @@ type IslandRunner func(ctx context.Context, g *antlayer.Graph, p antlayer.Island
 // response body — the one JSON shape shared by POST /layer, a done
 // /jobs/{id} and a `daglayer batch` result file. It reports the colony
 // tours executed (0 for the polynomial algorithms) so callers can feed
-// their metrics. Only the colony paths are long enough to be cancellable;
-// the polynomial algorithms run to completion well inside any sane
-// deadline. runIsland executes algo=island runs (nil = in-process; see
+// their metrics. Only the colonies check ctx; the polynomial algorithms
+// and the drawing run to completion, which is why the daemon refuses,
+// before they start, an algorithm (computeBound) or a drawing
+// (drawingBound) too large for a request. Compute itself draws whatever
+// it is given. runIsland executes algo=island runs (nil = in-process; see
 // IslandRunner). When the request's colony parameters set ExportState,
 // the returned state is the run's final search state (the winning
 // island's, for algo=island) — the daemon stores it in the warm cache;
@@ -459,6 +461,11 @@ type IslandRunner func(ctx context.Context, g *antlayer.Graph, p antlayer.Island
 // never appears in the body, so exporting cannot perturb the served
 // bytes.
 func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string, runIsland IslandRunner) (body []byte, toursRun int, state *antlayer.ACOState, err error) {
+	return compute(ctx, req, g, names, runIsland, false)
+}
+
+// compute is Compute; bounded refuses a drawing drawingBound refuses.
+func compute(ctx context.Context, req Request, g *antlayer.Graph, names []string, runIsland IslandRunner, bounded bool) (body []byte, toursRun int, state *antlayer.ACOState, err error) {
 	if runIsland == nil {
 		runIsland = antlayer.IslandColonyRunContext
 	}
@@ -521,8 +528,9 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		DummyCount:  m.DummyCount,
 		EdgeDensity: m.EdgeDensity,
 	}
-	resp.Layers = make([][]string, 0, len(l.Layers()))
-	for _, layer := range l.Layers() {
+	layers := l.Layers()
+	resp.Layers = make([][]string, 0, len(layers))
+	for _, layer := range layers {
 		row := make([]string, len(layer))
 		for i, v := range layer {
 			row[i] = names[v]
@@ -531,24 +539,9 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 	}
 
 	if req.Render != RenderNone {
-		render := obs.FromContext(ctx).Begin("render")
-		d, err := antlayer.Draw(g, antlayer.Fixed(l), nil)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("render: %w", err)
+		if err := render(ctx, req.Render, g, l, &resp, bounded); err != nil {
+			return nil, 0, nil, err
 		}
-		var buf bytes.Buffer
-		switch req.Render {
-		case RenderSVG:
-			err = d.WriteSVG(&buf)
-			resp.SVG = buf.String()
-		case RenderASCII:
-			err = d.WriteASCII(&buf)
-			resp.ASCII = buf.String()
-		}
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("render: %w", err)
-		}
-		render.End()
 	}
 
 	body, err = json.Marshal(resp)
@@ -556,4 +549,33 @@ func Compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		return nil, 0, nil, err
 	}
 	return append(body, '\n'), toursRun, state, nil
+}
+
+// render draws the layering into resp under the "render" span, which
+// ends on every path. When bounded, a drawing drawingBound refuses is
+// refused with its rejection, before Draw allocates anything.
+func render(ctx context.Context, mode RenderMode, g *antlayer.Graph, l *antlayer.Layering, resp *layerResponse, bounded bool) error {
+	span := obs.FromContext(ctx).Begin("render")
+	defer span.End()
+	if bounded {
+		if rej := drawingBound(l); rej != nil {
+			return rej
+		}
+	}
+	d, err := antlayer.Draw(g, antlayer.Fixed(l), nil)
+	if err != nil {
+		return fmt.Errorf("render: %w", err)
+	}
+	var b strings.Builder
+	if mode == RenderSVG {
+		err = d.WriteSVG(&b)
+		resp.SVG = b.String()
+	} else {
+		err = d.WriteASCII(&b)
+		resp.ASCII = b.String()
+	}
+	if err != nil {
+		return fmt.Errorf("render: %w", err)
+	}
+	return nil
 }

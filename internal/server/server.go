@@ -489,7 +489,7 @@ func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, sourc
 			}
 		}
 		computeStart := tr.Since()
-		body, toursRun, state, err := Compute(ctx, c.req, c.g, c.names, runIsland)
+		body, toursRun, state, err := compute(ctx, c.req, c.g, c.names, runIsland, true)
 		tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)
 		s.metrics.toursRun.Add(int64(toursRun))
 		s.metrics.inFlight.Add(-1)
@@ -627,6 +627,11 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 			// back off proportionally to the actual congestion.
 			s.writeRejection(w, &rejection{status: http.StatusTooManyRequests,
 				retryAfter: s.cfg.Coordinator.RetryAfterSeconds(), msg: "distributed run queue full"})
+			return
+		}
+		var rej *rejection
+		if errors.As(err, &rej) {
+			s.writeRejection(w, rej) // a drawing too large to admit
 			return
 		}
 		s.httpError(w, http.StatusBadRequest, "layering failed: %v", err)

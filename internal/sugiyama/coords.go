@@ -1,7 +1,8 @@
 package sugiyama
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"antlayer/internal/layering"
 )
@@ -17,25 +18,27 @@ import (
 // preserved.
 func refineCoordinates(proper *layering.Proper, ord *Ordering, x []float64, cfg Config, sweeps int) {
 	h := proper.Layering.NumLayers()
+	var queue []prioritised
 	for s := 0; s < sweeps; s++ {
 		for li := h - 1; li >= 1; li-- {
-			refineLayer(proper, ord, x, cfg, li, li+1)
+			queue = refineLayer(proper, ord, x, cfg, li, li+1, queue)
 		}
 		for li := 2; li <= h; li++ {
-			refineLayer(proper, ord, x, cfg, li, li-1)
+			queue = refineLayer(proper, ord, x, cfg, li, li-1, queue)
 		}
 	}
 }
 
+// prioritised is a row index with its vertex's priority.
+type prioritised struct{ i, prio int }
+
 // refineLayer repositions layer li (1-based) against reference layer ref.
-func refineLayer(proper *layering.Proper, ord *Ordering, x []float64, cfg Config, li, ref int) {
+// queue is scratch; refineLayer returns it for reuse.
+func refineLayer(proper *layering.Proper, ord *Ordering, x []float64, cfg Config, li, ref int, queue []prioritised) []prioritised {
 	g := proper.Graph
 	l := proper.Layering
 	row := ord.Order[li-1]
-	if len(row) < 1 {
-		return
-	}
-	prio := make([]int, len(row))
+	queue = queue[:0]
 	for i, v := range row {
 		p := 0
 		for _, w := range g.Succ(v) {
@@ -51,16 +54,12 @@ func refineLayer(proper *layering.Proper, ord *Ordering, x []float64, cfg Config
 		if proper.IsDummy[v] {
 			p += g.N() // dummies dominate every real vertex
 		}
-		prio[i] = p
+		queue = append(queue, prioritised{i, p})
 	}
-	idx := make([]int, len(row))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return prio[idx[a]] > prio[idx[b]] })
+	slices.SortStableFunc(queue, func(a, b prioritised) int { return cmp.Compare(b.prio, a.prio) })
 
-	for _, i := range idx {
-		v := row[i]
+	for _, q := range queue {
+		i, v := q.i, row[q.i]
 		desired, cnt := 0.0, 0
 		for _, w := range g.Succ(v) {
 			if l.Layer(w) == ref {
@@ -104,4 +103,5 @@ func refineLayer(proper *layering.Proper, ord *Ordering, x []float64, cfg Config
 		}
 		x[v] = desired
 	}
+	return queue
 }

@@ -127,7 +127,7 @@ func Run(g *dag.Graph, cfg Config) (*Drawing, error) {
 	nodes := assignCoordinates(proper, ord, cfg)
 
 	// Route original edges through their chains.
-	pos := make(map[int]Point, len(nodes))
+	pos := make([]Point, proper.Graph.N())
 	for _, nd := range nodes {
 		pos[nd.V] = Point{nd.X, nd.Y}
 	}
@@ -197,7 +197,7 @@ func assignCoordinates(proper *layering.Proper, ord *Ordering, cfg Config) []Nod
 	if cfg.CoordinateSweeps > 0 {
 		refineCoordinates(proper, ord, x, cfg, cfg.CoordinateSweeps)
 	}
-	var nodes []Node
+	nodes := make([]Node, 0, proper.Graph.N())
 	for li := h; li >= 1; li-- {
 		y := float64(h-li) * cfg.VSpacing
 		for _, v := range ord.Order[li-1] {
