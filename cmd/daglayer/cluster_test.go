@@ -132,7 +132,7 @@ func TestClusterConcurrentRuns(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		name := fmt.Sprintf("cw%d", i)
 		w := exec.CommandContext(ctx, bin, "worker", "-coordinator", coordAddr,
-			"-name", name, "-fault-epoch-delay", "60ms", "-heartbeat", "250ms", "-quiet")
+			"-name", name, "-fault-epoch-delay", "60ms", "-quiet")
 		w.Stdout = io.Discard
 		w.Stderr = os.Stderr
 		if err := w.Start(); err != nil {

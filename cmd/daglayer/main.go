@@ -55,13 +55,14 @@
 //	daglayer serve -coordinator :8650 &
 //	daglayer worker -coordinator host:8650 [-name w1] [-retry 2s]
 //
-// Workers heartbeat to the coordinator (worker -heartbeat, serve
-// -heartbeat-timeout) so dead processes are expelled promptly, and
-// reconnect with capped exponential backoff (-retry, -retry-max) that
-// resets after a successful registration. The chaos harness
-// (cmd/loadgen, DESIGN.md §11) exercises all of it against real
-// process trees; its fault knobs (worker -fault-epoch-delay, serve
-// -fault-compute-delay) are for testing only.
+// Workers heartbeat at a fifth of the coordinator's serve
+// -heartbeat-timeout, a cadence the coordinator names at registration,
+// so dead processes are expelled promptly; they reconnect with capped
+// exponential backoff (-retry, -retry-max) that resets after a
+// successful registration. The chaos harness (cmd/loadgen, DESIGN.md
+// §11) exercises all of it against real process trees; its fault knobs
+// (worker -fault-epoch-delay, serve -fault-compute-delay) are for
+// testing only.
 package main
 
 import (

@@ -32,7 +32,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		eventRing   = fs.Int("event-ring", 0, "job-event ring size; bounds how far back an SSE reconnect can resume and how far a live stream may lag before it gets a gap frame (0 = default 1024)")
 		sseHeart    = fs.Duration("sse-heartbeat", 0, "heartbeat-comment interval on idle SSE streams (0 = default 15s)")
 		coordinator = fs.String("coordinator", "", "also run a shard coordinator on this address (e.g. :8650); workers join with 'daglayer worker'")
-		hbTimeout   = fs.Duration("heartbeat-timeout", 0, "expel workers silent longer than this (0 = library default, negative disables)")
+		hbTimeout   = fs.Duration("heartbeat-timeout", 0, "expel workers silent longer than this; workers heartbeat at a fifth of it (0 = library default 10s, negative disables)")
 		runQueue    = fs.Int("run-queue", 0, "distributed-run admission queue bound; runs beyond it answer 429 (0 = default 16, negative = dispatch-or-reject)")
 		secret      = fs.String("cluster-secret", "", "shared secret workers must present to register (empty = open cluster)")
 		warmBytes   = fs.Int64("warm-cache-bytes", 0, "warm-start state cache budget in bytes (0 = default 64 MiB, negative disables warm starting)")

@@ -94,7 +94,6 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 		name        = fs.String("name", "", "worker name in the coordinator's logs and /cluster (default: worker-<id>)")
 		retry       = fs.Duration("retry", 2*time.Second, "base backoff between reconnect attempts (doubles per failure); 0 exits on the first connection error")
 		retryMax    = fs.Duration("retry-max", 30*time.Second, "cap on the reconnect backoff")
-		heartbeat   = fs.Duration("heartbeat", 0, "liveness heartbeat interval (0 = library default, negative disables)")
 		secret      = fs.String("cluster-secret", "", "shared secret to present at registration (must match the coordinator's -cluster-secret)")
 		faultDelay  = fs.Duration("fault-epoch-delay", 0, "TESTING ONLY: sleep this long every epoch, simulating a slow worker for chaos scenarios")
 		quiet       = fs.Bool("quiet", false, "suppress per-run logging")
@@ -134,10 +133,9 @@ flags:
 		b.max = b.base
 	}
 	wcfg := shard.WorkerConfig{
-		Name:              *name,
-		Secret:            *secret,
-		Log:               logger,
-		HeartbeatInterval: *heartbeat,
+		Name:   *name,
+		Secret: *secret,
+		Log:    logger,
 		// A successful registration resets the backoff: the next outage
 		// starts the schedule from the base delay again.
 		OnRegister: func(int) { b.reset() },

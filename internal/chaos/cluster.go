@@ -25,7 +25,7 @@ type Cluster struct {
 	// Coordinator selects whether serve also runs a shard coordinator.
 	Coordinator bool
 	// ServeArgs / WorkerArgs are appended to the respective command lines
-	// (chaos knobs like -fault-compute-delay, -heartbeat, -retry).
+	// (chaos knobs like -fault-compute-delay, -heartbeat-timeout, -retry).
 	ServeArgs  []string
 	WorkerArgs []string
 	// Log receives the process tree's stderr (nil = inherit os.Stderr).

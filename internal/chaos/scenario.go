@@ -64,10 +64,10 @@ type Scenario struct {
 	Phases []Phase
 }
 
-// fastWorkerArgs makes chaos-scale timing: quick redials and chatty
-// heartbeats, so fault detection and recovery fit in a seconds-long
-// phase.
-var fastWorkerArgs = []string{"-retry", "100ms", "-retry-max", "1s", "-heartbeat", "250ms", "-quiet"}
+// fastWorkerArgs makes chaos-scale timing: quick redials, so recovery
+// fits in a seconds-long phase. Fault detection is the daemon's
+// -heartbeat-timeout, whose fifth the workers beat at.
+var fastWorkerArgs = []string{"-retry", "100ms", "-retry-max", "1s", "-quiet"}
 
 // Scenarios returns the registry, in a stable order.
 func Scenarios() []Scenario {

@@ -81,6 +81,20 @@ func TestIntakeParity(t *testing.T) {
 		// long edge, no dummy is drawn, yet the request is refused.
 		{"dummy width sum, no long edge", "format=edges&algo=lpl&dummy-width=1e308", "3 2\n1 0\n2 1\n", http.StatusBadRequest,
 			"bad edges input: vertex widths plus dummy-width*n*m sum to 6e+308, above the bound 1e+300"},
+		// Each algorithm's own parameter check runs at intake, so a job
+		// with bad parameters is refused at submission, not at poll time.
+		{"no ants", "ants=0", demoDOT, http.StatusBadRequest, "bad request: core: Ants must be >= 1, got 0"},
+		{"no tours", "tours=0", demoDOT, http.StatusBadRequest, "bad request: core: Tours must be >= 1, got 0"},
+		{"negative beta", "beta=-2", demoDOT, http.StatusBadRequest, "bad request: core: Beta must be >= 0, got -2"},
+		{"zero dummy width aco", "dummy-width=0", demoDOT, http.StatusBadRequest,
+			"bad request: core: DummyWidth must be > 0, got 0"},
+		{"negative stall tours", "stall-tours=-1", demoDOT, http.StatusBadRequest,
+			"bad request: core: StopAfterStagnantTours must be >= 0, got -1"},
+		{"negative workers", "seed=5&workers=-1", demoDOT, http.StatusBadRequest,
+			"bad request: core: Workers must be >= 0, got -1"},
+		{"island colony", "algo=island&ants=0", demoDOT, http.StatusBadRequest, "bad request: core: Ants must be >= 1, got 0"},
+		{"negative cg width", "algo=cg&cg-width=-1", demoDOT, http.StatusBadRequest,
+			"bad request: cg-width must be >= 1, or 0 for the default 4; got -1"},
 	}
 	for _, c := range cases {
 		lresp, lbody := postRaw(t, ts, "/layer", c.query, c.graph)
@@ -102,6 +116,18 @@ func TestIntakeParity(t *testing.T) {
 		}
 		if res.State != "failed" || res.Error != msg {
 			t.Errorf("%s: bulk line %+v, want failed with %q", c.name, res, msg)
+		}
+	}
+
+	// The cache key leaves out Workers, so a cached seed=5 answer must not
+	// be served to seed=5&workers=-1, which the colony refuses. The check
+	// belongs to the colony algorithms: lpl ignores the colony's knobs.
+	for _, c := range []struct {
+		query  string
+		status int
+	}{{"seed=5", http.StatusOK}, {"seed=5&workers=-1", http.StatusBadRequest}, {"algo=lpl&ants=0", http.StatusOK}} {
+		if resp, body := postRaw(t, ts, "/layer", c.query, demoDOT); resp.StatusCode != c.status {
+			t.Errorf("/layer?%s answered %d (%s), want %d", c.query, resp.StatusCode, body, c.status)
 		}
 	}
 
@@ -316,6 +342,8 @@ func FuzzParseRequest(f *testing.F) {
 		"label=a&label=b&base=5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87",
 		"stall-tours=3&stop-stagnant=4&width-bound=2&warm=false",
 		"tuors=100",
+		"ants=0&beta=-2&workers=-1",
+		"algo=cg&cg-width=-1",
 	} {
 		f.Add(seed)
 	}
@@ -343,6 +371,10 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("negative timeout %v from %q", req.Timeout, raw)
 		case len(req.Base) > 128 || len(req.Labels) > 8:
 			t.Fatalf("base of %d bytes, %d labels accepted", len(req.Base), len(req.Labels))
+		case req.Algo == "aco" && req.ACO.Validate() != nil,
+			req.Algo == "island" && req.Options().IslandOf().Validate() != nil,
+			req.Algo == "cg" && req.CGWidth < 0:
+			t.Fatalf("parameters %s would refuse accepted from %q", req.Algo, raw)
 		}
 		for _, l := range req.Labels {
 			if l == "" || len(l) > 64 {

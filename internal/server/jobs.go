@@ -160,7 +160,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		// Cancelling a queued job settles it synchronously; a running one
 		// may take a moment to unwind. Either way, answer with the state
 		// as it is now.
-		s.writeJobSnapshot(w, job.Snapshot())
+		snap := job.Snapshot()
+		if snap.State.Terminal() && snap.Started.IsZero() {
+			// The job never ran, so the closure that finishes its trace
+			// never will.
+			if tr, ok := s.tracer.Get(snap.TraceID); ok {
+				s.tracer.Finish(tr)
+			}
+		}
+		s.writeJobSnapshot(w, snap)
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
 		s.httpError(w, http.StatusMethodNotAllowed, "GET polls a job, DELETE cancels it")

@@ -113,7 +113,9 @@ func (req Request) colonies() int {
 
 // ParseRequest decodes the query parameters of a /layer or /jobs request.
 // Unknown parameters are rejected so that typos ("tuors=100") fail loudly
-// instead of silently running with defaults.
+// instead of silently running with defaults, and so are parameters the
+// chosen algorithm would refuse: the colony's for aco and island, a
+// negative cg-width for cg.
 func ParseRequest(q url.Values) (Request, error) {
 	req := DefaultRequest()
 	var err error
@@ -219,7 +221,21 @@ func ParseRequest(q url.Values) (Request, error) {
 		return req, fmt.Errorf("base= requires a colony algorithm (aco|island), got algo=%q", req.Algo)
 	}
 	req.ACO.DummyWidth = req.DummyWidth
-	return req, nil
+	// The algorithm's own parameter check runs here, so an invalid
+	// request is refused at intake on every path: never after it took a
+	// compute slot, never at poll time, and never served from a cache
+	// entry whose key ignores the bad knob (Workers).
+	switch req.Algo {
+	case "aco":
+		err = req.ACO.Validate()
+	case "island":
+		err = req.Options().IslandOf().Validate()
+	case "cg":
+		if req.CGWidth < 0 {
+			err = fmt.Errorf("cg-width must be >= 1, or 0 for the default 4; got %d", req.CGWidth)
+		}
+	}
+	return req, err
 }
 
 // ParseGraph decodes a graph in the request's format, returning the graph

@@ -325,6 +325,22 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 // TestPrometheusExposition drives a live daemon, scrapes both formats and
 // checks the Prometheus page parses cleanly and mirrors the JSON
 // snapshot's counters.
+// TestCancelledQueuedJobTraceFinished: a job cancelled while queued
+// never runs the closure that finishes its trace, so the cancel must;
+// a live trace would keep growing and rank as the slowest in /traces.
+func TestCancelledQueuedJobTraceFinished(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultComputeDelay: 300 * time.Millisecond})
+	_, running := postJob(t, ts, "seed=1", demoDOT)
+	resp, queued := postJob(t, ts, "seed=2", demoDOT)
+	if r := deleteJob(t, ts, queued.ID); r.Header.Get("X-Job-State") != "failed" {
+		t.Fatalf("cancelled queued job answered state %q", r.Header.Get("X-Job-State"))
+	}
+	if v := getTrace(t, ts.URL, resp.Header.Get("X-Request-ID")); !v.Finished {
+		t.Errorf("trace of the cancelled queued job is live (dur_ms %.1f)", v.DurMS)
+	}
+	pollUntilTerminal(t, ts, running.ID)
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postLayer(t, ts, "algo=lpl", demoDOT)

@@ -155,7 +155,7 @@ func writeProm(w io.Writer, m MetricsSnapshot) error {
 		p.Value("daglayer_cluster_epochs_total", float64(c.Epochs))
 		p.Family("daglayer_cluster_migrations_total", "counter", "Elite migrations routed around the ring.")
 		p.Value("daglayer_cluster_migrations_total", float64(c.Migrations))
-		p.Family("daglayer_cluster_heartbeat_expels_total", "counter", "Workers expelled by the liveness reaper.")
+		p.Family("daglayer_cluster_heartbeat_expels_total", "counter", "Workers expelled for going silent past the heartbeat timeout.")
 		p.Value("daglayer_cluster_heartbeat_expels_total", float64(c.HeartbeatExpels))
 		p.Family("daglayer_cluster_heartbeat_timeout_ms", "gauge", "Silence budget before a worker is expelled.")
 		p.Value("daglayer_cluster_heartbeat_timeout_ms", c.HeartbeatTimeoutMs)

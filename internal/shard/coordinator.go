@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,18 +32,20 @@ var errWorkerFailure = errors.New("shard: worker failure")
 // hello, so a port-scanner cannot hold an accept slot open.
 const handshakeTimeout = 10 * time.Second
 
-// defaultHeartbeatTimeout is how long a worker may go silent before the
-// liveness reaper expels it. Workers heartbeat every 2s by default, so
-// the default tolerates four missed beats.
+// defaultHeartbeatTimeout is how long a worker may go silent before its
+// reader expels it. Workers beat at a fifth of the timeout (2s here), so
+// it tolerates four missed beats.
 const defaultHeartbeatTimeout = 10 * time.Second
 
 // CoordinatorConfig tunes a Coordinator. The zero value is usable.
 type CoordinatorConfig struct {
 	// HeartbeatTimeout is how long a worker may go without sending any
-	// frame (heartbeats included) before the liveness reaper expels it —
+	// frame (heartbeats included) before the coordinator expels it —
 	// the defence against workers that die without closing their
-	// connection (network partition, frozen host). 0 means the default
-	// (10s); negative disables liveness expulsion.
+	// connection (network partition, frozen host). The welcome frame
+	// tells each worker to beat at a fifth of it. 0 means the default
+	// (10s); negative disables liveness expulsion, and with it the
+	// workers' heartbeats.
 	HeartbeatTimeout time.Duration
 	// QueueDepth bounds the pending-run queue: runs that cannot dispatch
 	// immediately wait here, FIFO; past the bound RunIsland returns
@@ -80,7 +83,7 @@ type workerConn struct {
 	epochs     int64
 	epochTotal time.Duration
 	epochMax   time.Duration
-	lastSeen   time.Time       // last frame of any kind (liveness)
+	lastSeen   time.Time       // last frame of any kind (last_seen_age_ms)
 	beats      int64           // heartbeat frames received
 	inbox      chan readResult // the owning run's inbox; nil while idle
 	slot       int             // the worker's position in the owning run's lease
@@ -94,13 +97,13 @@ type workerConn struct {
 // context.
 //
 // Every registered worker's connection is owned by a dedicated reader
-// goroutine: heartbeats update the liveness clock, run frames are routed
-// into the inbox of the run that claimed the worker, and a read failure
-// (the worker died) surfaces immediately — to the owning run mid-run, or
-// as an instant expulsion while idle — instead of waiting for the next
-// run to block on the dead connection. A background reaper additionally
-// expels workers that go silent past HeartbeatTimeout, catching deaths
-// that never close the socket.
+// goroutine: heartbeats are counted, run frames are routed into the
+// inbox of the run that claimed the worker, and a read failure (the
+// worker died) surfaces immediately — to the owning run mid-run, or as
+// an instant expulsion while idle — instead of waiting for the next run
+// to block on the dead connection. The reader reads every frame under a
+// HeartbeatTimeout deadline, so a worker silent that long — a death that
+// never closes the socket — fails the same way.
 //
 // Internally the Coordinator is two layers. The registry/lease layer
 // owns the worker set: each run leases a disjoint subset sized
@@ -153,8 +156,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 }
 
 // Serve accepts worker registrations on ln until ctx is cancelled, then
-// closes the listener and every registered worker connection. It also
-// runs the liveness reaper (see CoordinatorConfig.HeartbeatTimeout).
+// closes the listener and every registered worker connection.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 	done := make(chan struct{})
 	defer close(done)
@@ -172,9 +174,6 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 		c.fleetChangedLocked() // fail queued runs: the fleet is gone
 		c.mu.Unlock()
 	}()
-	if c.cfg.HeartbeatTimeout > 0 {
-		go c.reapLoop(done)
-	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -185,46 +184,6 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 		}
 		go c.handshake(conn)
 	}
-}
-
-// reapLoop periodically expels workers that have gone silent past the
-// heartbeat timeout. Expelling closes the connection, so a run blocked on
-// the dead worker's barrier read unblocks and retries on the survivors.
-func (c *Coordinator) reapLoop(done <-chan struct{}) {
-	tick := c.cfg.HeartbeatTimeout / 4
-	if tick < 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case now := <-t.C:
-			c.reap(now)
-		}
-	}
-}
-
-// reap expels every worker whose last frame is older than the heartbeat
-// timeout and reports how many went.
-func (c *Coordinator) reap(now time.Time) int {
-	c.mu.Lock()
-	var stale []*workerConn
-	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.cfg.HeartbeatTimeout {
-			stale = append(stale, w)
-		}
-	}
-	c.mu.Unlock()
-	for _, w := range stale {
-		c.beatExpels.Add(1)
-		c.cfg.Log.Warn("worker silent past heartbeat timeout; expelling",
-			"worker", w.name, "worker_id", w.id, "timeout", c.cfg.HeartbeatTimeout)
-		c.expel(w)
-	}
-	return len(stale)
 }
 
 // handshake runs the hello/welcome exchange (verifying the shared
@@ -256,7 +215,11 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	c.workers[w.id] = w
 	n := len(c.workers)
 	c.mu.Unlock()
-	if err := writeFrame(conn, &message{Type: msgWelcome, WorkerID: w.id}); err != nil {
+	welcome := &message{Type: msgWelcome, WorkerID: w.id}
+	if c.cfg.HeartbeatTimeout > 0 {
+		welcome.HeartbeatMs = max(c.cfg.HeartbeatTimeout/5, time.Millisecond).Milliseconds()
+	}
+	if err := writeFrame(conn, welcome); err != nil {
 		c.expel(w)
 		return
 	}
@@ -278,16 +241,26 @@ func secretsEqual(got, want string) bool {
 	return subtle.ConstantTimeCompare(g[:], w[:]) == 1
 }
 
-// readLoop owns every read on a worker's connection. Heartbeats feed the
-// liveness clock; run frames are routed into the inbox of the run that
-// claimed the worker (frames between runs — stragglers of an aborted run
-// — are discarded); a read error expels the worker and is handed to the
-// owning run, if any. The loop exits exactly when the worker is no
-// longer usable, so a registered worker always has a live reader.
+// readLoop owns every read on a worker's connection. Heartbeats are
+// counted; run frames are routed into the inbox of the run that claimed
+// the worker (frames between runs — stragglers of an aborted run — are
+// discarded); a read error expels the worker and is handed to the owning
+// run, if any. Each frame must arrive within HeartbeatTimeout, so a
+// worker that falls silent fails its read like one that disconnected.
+// The loop exits exactly when the worker is no longer usable, so a
+// registered worker always has a live reader.
 func (c *Coordinator) readLoop(w *workerConn) {
 	for {
+		if c.cfg.HeartbeatTimeout > 0 {
+			_ = w.conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
+		}
 		var m message
 		err := readFrame(w.conn, &m, maxFrame)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			c.beatExpels.Add(1)
+			c.cfg.Log.Warn("worker silent past heartbeat timeout; expelling",
+				"worker", w.name, "worker_id", w.id, "timeout", c.cfg.HeartbeatTimeout)
+		}
 		c.mu.Lock()
 		w.lastSeen = time.Now()
 		if err == nil && m.Type == msgHeartbeat {
@@ -581,7 +554,7 @@ type WorkerMetrics struct {
 	MaxEpochMs  float64 `json:"max_epoch_ms"`
 	// Heartbeats counts the liveness frames received from the worker;
 	// LastSeenAgeMs is how long ago the coordinator last heard anything
-	// from it (the liveness reaper expels workers past the timeout).
+	// from it (a worker silent past the timeout is expelled).
 	Heartbeats    int64   `json:"heartbeats"`
 	LastSeenAgeMs float64 `json:"last_seen_age_ms"`
 }
@@ -615,9 +588,9 @@ type ClusterMetrics struct {
 	DispatchMs         DispatchMetrics `json:"dispatch_ms"`
 	Epochs             int64           `json:"epochs"`
 	Migrations         int64           `json:"migrations"`
-	// HeartbeatExpels counts workers expelled by the liveness reaper for
-	// going silent past HeartbeatTimeoutMs (run-time failures expel
-	// through the run path and are not counted here).
+	// HeartbeatExpels counts workers expelled for going silent past
+	// HeartbeatTimeoutMs (other read errors and run-time failures expel
+	// too, but are not counted here).
 	HeartbeatExpels    int64           `json:"heartbeat_expels"`
 	HeartbeatTimeoutMs float64         `json:"heartbeat_timeout_ms"`
 	PerWorker          []WorkerMetrics `json:"per_worker,omitempty"`

@@ -278,34 +278,28 @@ func TestBarrierBlamesMisreportingWorker(t *testing.T) {
 }
 
 // TestHeartbeatLiveness: workers heartbeat, the coordinator counts the
-// beats, and a worker that goes silent (heartbeats disabled, no frames)
-// is expelled by the reaper within the timeout — without any run
-// touching it.
+// beats, and a peer that says hello and then nothing is expelled by its
+// reader's deadline within the timeout — without any run touching it.
 func TestHeartbeatLiveness(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{HeartbeatTimeout: 300 * time.Millisecond})
 	defer cancel()
-	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: 300 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = c.Serve(ctx, ln) }()
-	addr := ln.Addr().String()
 
-	// A chatty worker beating well inside the timeout...
-	chatty := NewWorker(WorkerConfig{Name: "chatty", HeartbeatInterval: 50 * time.Millisecond})
-	go func() { _ = chatty.Run(ctx, addr) }()
+	// A chatty worker beating at the cadence its welcome named...
+	startWorker(ctx, addr, WorkerConfig{Name: "chatty"}, false)
 	waitWorkers(t, c, 1)
-	// ...and a mute one that registers and then never speaks again.
-	mute := NewWorker(WorkerConfig{Name: "mute", HeartbeatInterval: -1})
-	go func() { _ = mute.Run(ctx, addr) }()
+	// ...and a mute peer that registers and then never speaks again.
+	mute, welcome := helloPeer(t, addr, "mute")
+	defer mute.Close()
+	if welcome.HeartbeatMs != 60 {
+		t.Errorf("welcome heartbeat_ms = %d, want 60 (a fifth of the timeout)", welcome.HeartbeatMs)
+	}
 	waitWorkers(t, c, 2)
 
-	// The reaper must expel the mute worker and keep the chatty one.
+	// The deadline must expel the mute peer and keep the chatty worker.
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Workers() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("mute worker never expelled (fleet %d)", c.Workers())
+			t.Fatalf("mute peer never expelled (fleet %d)", c.Workers())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -332,24 +326,67 @@ func TestHeartbeatLiveness(t *testing.T) {
 	}
 }
 
-// TestHeartbeatsFlowDuringLongEpochs: a worker stuck in a slow epoch
-// (EpochDelay beyond the liveness timeout) must NOT be expelled — the
-// background heartbeat distinguishes slow from dead.
-func TestHeartbeatsFlowDuringLongEpochs(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: 200 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// helloPeer registers a raw connection under name and returns it with
+// the coordinator's welcome frame; the peer then says nothing unless the
+// test writes to it.
+func helloPeer(t *testing.T, addr, name string) (net.Conn, message) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = c.Serve(ctx, ln) }()
-	w := NewWorker(WorkerConfig{
-		Name:              "slowpoke",
-		HeartbeatInterval: 40 * time.Millisecond,
-		Fault:             &FaultPlan{EpochDelay: 500 * time.Millisecond},
-	})
-	go func() { _ = w.Run(ctx, ln.Addr().String()) }()
+	var welcome message
+	if err := writeFrame(conn, &message{Type: msgHello, Name: name}); err != nil {
+		t.Fatal(err)
+	}
+	if err := readFrame(conn, &welcome, maxFrame); err != nil || welcome.Type != msgWelcome {
+		t.Fatalf("registration answered %q, err %v", welcome.Type, err)
+	}
+	return conn, welcome
+}
+
+// TestWorkerTakesCoordinatorCadence: the coordinator alone decides
+// liveness. A worker configured with nothing beats at the cadence its
+// welcome names, so it stays registered under a 300ms timeout, shorter
+// than the 2s cadence of the default timeout.
+func TestWorkerTakesCoordinatorCadence(t *testing.T) {
+	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{HeartbeatTimeout: 300 * time.Millisecond})
+	defer cancel()
+	startWorker(ctx, addr, WorkerConfig{}, false)
+	waitWorkers(t, c, 1)
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if m := c.Metrics(); m.Workers != 1 || m.HeartbeatExpels != 0 {
+			t.Fatalf("worker expelled under its coordinator's timeout: fleet %d, heartbeat_expels %d", m.Workers, m.HeartbeatExpels)
+		}
+	}
+	if m := c.Metrics(); len(m.PerWorker) != 1 || m.PerWorker[0].Heartbeats == 0 {
+		t.Errorf("the worker's heartbeats were not counted: %+v", m.PerWorker)
+	}
+
+	// Expulsion off asks for no beats; a timeout under 5ms still asks for
+	// some, at the 1ms the field can carry.
+	for _, tc := range []struct {
+		timeout time.Duration
+		want    int64
+	}{{-1, 0}, {3 * time.Millisecond, 1}} {
+		_, addr, _, cancel := startCoordinator(t, CoordinatorConfig{HeartbeatTimeout: tc.timeout})
+		conn, welcome := helloPeer(t, addr, "peer")
+		conn.Close()
+		cancel()
+		if welcome.HeartbeatMs != tc.want {
+			t.Errorf("timeout %v: welcome heartbeat_ms = %d, want %d", tc.timeout, welcome.HeartbeatMs, tc.want)
+		}
+	}
+}
+
+// TestHeartbeatsFlowDuringLongEpochs: a worker stuck in a slow epoch
+// (EpochDelay beyond the liveness timeout) must NOT be expelled — the
+// background heartbeat, at the 40ms cadence the welcome names, keeps
+// satisfying the reader's deadline, distinguishing slow from dead.
+func TestHeartbeatsFlowDuringLongEpochs(t *testing.T) {
+	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{HeartbeatTimeout: 200 * time.Millisecond})
+	defer cancel()
+	startWorker(ctx, addr, WorkerConfig{Name: "slowpoke", Fault: &FaultPlan{EpochDelay: 500 * time.Millisecond}}, false)
 	waitWorkers(t, c, 1)
 
 	g := testGraph(t, 30, 5)

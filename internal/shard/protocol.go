@@ -5,11 +5,13 @@
 //
 // The wire protocol is length-prefixed JSON over TCP: every frame is a
 // 4-byte big-endian length followed by one JSON message. A worker dials
-// the coordinator, introduces itself (hello/welcome) and then sits idle
-// until the coordinator hands it a run: the graph (a dag.Snapshot, which
-// preserves adjacency-list order — part of the determinism contract),
-// the island parameters and the worker's slice of the ring. From there
-// the exchange is epoch-numbered and ring-ordered:
+// the coordinator, introduces itself (hello/welcome; the welcome names
+// the heartbeat cadence the coordinator's liveness timeout expects) and
+// then sits idle, beating at that cadence, until the coordinator hands
+// it a run: the graph (a dag.Snapshot, which preserves adjacency-list
+// order — part of the determinism contract), the island parameters and
+// the worker's slice of the ring. From there the exchange is
+// epoch-numbered and ring-ordered:
 //
 //	worker  → epoch   {seq, epoch, elites}     one elite per local island
 //	coord   → migrate {seq, elites, epoch}     ring predecessors, positional
@@ -75,9 +77,13 @@ type message struct {
 	// hello (worker → coordinator) / welcome (coordinator → worker).
 	// Auth carries the shared cluster secret when the coordinator
 	// requires one; compared in constant time on the coordinator.
-	Name     string `json:"name,omitempty"`
-	Auth     string `json:"auth,omitempty"`
-	WorkerID int    `json:"worker_id,omitempty"`
+	// HeartbeatMs is the interval the worker must send heartbeat frames
+	// at, a fifth of the coordinator's liveness timeout; 0 means the
+	// coordinator expels nobody for silence and wants no heartbeats.
+	Name        string `json:"name,omitempty"`
+	Auth        string `json:"auth,omitempty"`
+	WorkerID    int    `json:"worker_id,omitempty"`
+	HeartbeatMs int64  `json:"heartbeat_ms,omitempty"`
 
 	// run (coordinator → worker). TraceID propagates the request trace
 	// so the worker's span timings can be attributed to it; empty for

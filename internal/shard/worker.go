@@ -19,11 +19,6 @@ import (
 // worker returns to idle without reporting.
 var errAborted = errors.New("shard: run aborted by coordinator")
 
-// defaultHeartbeatInterval is how often an idle or computing worker tells
-// the coordinator it is alive. A quarter of the coordinator's default
-// liveness timeout, plus margin.
-const defaultHeartbeatInterval = 2 * time.Second
-
 // FaultPlan is a test-only fault-injection hook: the chaos harness (and
 // the shard failure tests) use it to make a worker misbehave at an exact,
 // reproducible point in the epoch protocol. Production workers run with a
@@ -52,12 +47,6 @@ type WorkerConfig struct {
 	// Must match the coordinator's when one is configured there; a
 	// mismatch is a clean registration failure.
 	Secret string
-	// HeartbeatInterval is how often the worker sends a liveness frame —
-	// also while computing an epoch, so a slow shard is distinguishable
-	// from a dead one. 0 means the default (2s); negative disables
-	// heartbeats (the coordinator's reaper will then expel the worker
-	// unless its timeout is disabled too).
-	HeartbeatInterval time.Duration
 	// OnRegister, when non-nil, is called after each successful
 	// registration with the coordinator-assigned worker id. The reconnect
 	// backoff in `daglayer worker` resets on it.
@@ -81,9 +70,6 @@ type Worker struct {
 
 // NewWorker builds a Worker (zero-value config fine).
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = defaultHeartbeatInterval
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard()
 	}
@@ -150,12 +136,13 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 		w.cfg.OnRegister(welcome.WorkerID)
 	}
 
-	// Heartbeat: a liveness frame every interval, whatever the worker is
-	// doing — computing an epoch included. A write failure just stops the
-	// beat; the Run loop's read surfaces the broken connection.
-	if w.cfg.HeartbeatInterval > 0 {
+	// Heartbeat: a liveness frame at the cadence the welcome named,
+	// whatever the worker is doing — computing an epoch included, so a
+	// slow shard is distinguishable from a dead one. A write failure just
+	// stops the beat; the Run loop's read surfaces the broken connection.
+	if beat := time.Duration(welcome.HeartbeatMs) * time.Millisecond; beat > 0 {
 		go func() {
-			t := time.NewTicker(w.cfg.HeartbeatInterval)
+			t := time.NewTicker(beat)
 			defer t.Stop()
 			for {
 				select {

@@ -13,6 +13,8 @@ import (
 // same vertices, plus the set of original edges that were reversed to break
 // cycles.
 type AcyclicResult struct {
+	// Graph holds every original edge in exactly one direction. It is the
+	// input graph itself when that was already acyclic.
 	Graph *dag.Graph
 	// Reversed holds edges in their *original* orientation (u, v); the
 	// acyclic graph contains them as (v, u).
@@ -21,11 +23,12 @@ type AcyclicResult struct {
 
 // MakeAcyclic removes cycles with the Eades–Lin–Smyth greedy heuristic,
 // which computes a vertex sequence minimising (heuristically) the number of
-// backward edges and reverses those. Acyclic inputs come back unchanged
-// (no reversals). Self-loops cannot occur (the graph type rejects them).
+// backward edges and reverses those. An acyclic input is returned as the
+// result's Graph, not copied, with no reversals. Self-loops cannot occur
+// (the graph type rejects them).
 func MakeAcyclic(g *dag.Graph) *AcyclicResult {
 	if g.IsAcyclic() {
-		return &AcyclicResult{Graph: g.Clone()}
+		return &AcyclicResult{Graph: g}
 	}
 	order := greedyFASOrder(g)
 	pos := make([]int, g.N())

@@ -12,7 +12,8 @@ import (
 // All algorithm packages of this repository satisfy it via small adapters
 // (see the root antlayer package).
 type Layerer interface {
-	// Layer assigns the vertices of an acyclic g to layers.
+	// Layer assigns the vertices of an acyclic g to layers. It must not
+	// modify g, which may be the graph the caller passed to Run.
 	Layer(g *dag.Graph) (*layering.Layering, error)
 }
 
@@ -79,7 +80,8 @@ type Drawing struct {
 	Reversed []dag.Edge
 }
 
-// Run executes the full pipeline on g, which may contain cycles.
+// Run executes the full pipeline on g, which may contain cycles. It does
+// not modify g: an acyclic g is layered as it is, not copied.
 func Run(g *dag.Graph, cfg Config) (*Drawing, error) {
 	if cfg.Layerer == nil {
 		return nil, errors.New("sugiyama: Config.Layerer is required")
@@ -137,11 +139,6 @@ func Run(g *dag.Graph, cfg Config) (*Drawing, error) {
 		rev := reversedSet[e]
 		if rev {
 			ae = dag.Edge{U: e.V, V: e.U}
-		}
-		if !acyclic.Graph.HasEdge(ae.U, ae.V) {
-			// Duplicate collapsed during cycle removal; draw directly.
-			edges = append(edges, DrawnEdge{From: e.U, To: e.V, Points: []Point{pos[e.U], pos[e.V]}, Reversed: rev})
-			continue
 		}
 		chain, ok := proper.Chains[ae]
 		if !ok {
