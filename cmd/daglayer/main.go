@@ -239,10 +239,10 @@ func runLayer(ctx context.Context, args []string, stdin io.Reader, stdout io.Wri
 	}
 
 	if *compare {
-		return runComparison(ctx, stdout, g, req.Options())
+		return runComparison(ctx, stdout, g, req.Options)
 	}
 
-	layerer, err := antlayer.LayererByName(ctx, req.Algo, req.Options())
+	layerer, err := antlayer.LayererByName(ctx, req.Algo, req.Options)
 	if err != nil {
 		return err
 	}

@@ -229,45 +229,58 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports the first invalid field.
+// FieldError is Validate's report of a field outside its bounds: the
+// field's name, the rule it broke and the value it held.
+type FieldError struct {
+	Field string // e.g. "Ants"
+	Rule  string // e.g. "must be >= 1"
+	Value any
+}
+
+func (e *FieldError) Error() string {
+	return fmt.Sprintf("core: %s %s, got %v", e.Field, e.Rule, e.Value)
+}
+
+// Validate reports the first invalid field, as a *FieldError when one
+// field alone breaks its bounds.
 func (p Params) Validate() error {
 	switch {
 	case p.Ants < 1:
-		return fmt.Errorf("core: Ants must be >= 1, got %d", p.Ants)
+		return &FieldError{"Ants", "must be >= 1", p.Ants}
 	case p.Tours < 1:
-		return fmt.Errorf("core: Tours must be >= 1, got %d", p.Tours)
+		return &FieldError{"Tours", "must be >= 1", p.Tours}
 	case p.Alpha < 0:
-		return fmt.Errorf("core: Alpha must be >= 0, got %g", p.Alpha)
+		return &FieldError{"Alpha", "must be >= 0", p.Alpha}
 	case p.Beta < 0:
-		return fmt.Errorf("core: Beta must be >= 0, got %g", p.Beta)
+		return &FieldError{"Beta", "must be >= 0", p.Beta}
 	case p.Rho <= 0 || p.Rho > 1:
-		return fmt.Errorf("core: Rho must be in (0,1], got %g", p.Rho)
+		return &FieldError{"Rho", "must be in (0,1]", p.Rho}
 	case p.Tau0 <= 0:
-		return fmt.Errorf("core: Tau0 must be > 0, got %g", p.Tau0)
+		return &FieldError{"Tau0", "must be > 0", p.Tau0}
 	case p.Q <= 0:
-		return fmt.Errorf("core: Q must be > 0, got %g", p.Q)
+		return &FieldError{"Q", "must be > 0", p.Q}
 	case p.DummyWidth <= 0:
-		return fmt.Errorf("core: DummyWidth must be > 0, got %g", p.DummyWidth)
+		return &FieldError{"DummyWidth", "must be > 0", p.DummyWidth}
 	case p.Selection != SelectPseudoRandom && p.Selection != SelectArgMax && p.Selection != SelectRoulette:
 		return fmt.Errorf("core: unknown selection mode %d", int(p.Selection))
 	case p.Q0 < 0 || p.Q0 > 1:
-		return fmt.Errorf("core: Q0 must be in [0,1], got %g", p.Q0)
+		return &FieldError{"Q0", "must be in [0,1]", p.Q0}
 	case p.Stretch != StretchBetween && p.Stretch != StretchEnds:
 		return fmt.Errorf("core: unknown stretch mode %d", int(p.Stretch))
 	case p.Heuristic != HeuristicObjective && p.Heuristic != HeuristicLayerWidth:
 		return fmt.Errorf("core: unknown heuristic mode %d", int(p.Heuristic))
 	case p.MaxLayers < 0:
-		return fmt.Errorf("core: MaxLayers must be >= 0, got %d", p.MaxLayers)
+		return &FieldError{"MaxLayers", "must be >= 0", p.MaxLayers}
 	case p.WidthBound < 0:
-		return fmt.Errorf("core: WidthBound must be >= 0, got %g", p.WidthBound)
+		return &FieldError{"WidthBound", "must be >= 0", p.WidthBound}
 	case p.TauMin < 0 || p.TauMax < 0:
 		return fmt.Errorf("core: TauMin/TauMax must be >= 0, got %g/%g", p.TauMin, p.TauMax)
 	case p.TauMin > 0 && p.TauMax > 0 && p.TauMin > p.TauMax:
 		return fmt.Errorf("core: TauMin %g exceeds TauMax %g", p.TauMin, p.TauMax)
 	case p.StopAfterStagnantTours < 0:
-		return fmt.Errorf("core: StopAfterStagnantTours must be >= 0, got %d", p.StopAfterStagnantTours)
+		return &FieldError{"StopAfterStagnantTours", "must be >= 0", p.StopAfterStagnantTours}
 	case p.Workers < 0:
-		return fmt.Errorf("core: Workers must be >= 0, got %d", p.Workers)
+		return &FieldError{"Workers", "must be >= 0", p.Workers}
 	}
 	return nil
 }

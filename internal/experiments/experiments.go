@@ -58,20 +58,9 @@ type Options struct {
 	// time measurements remain per-call wall clock and therefore gain
 	// noise under contention; use Workers=1 for the timing figures.
 	// ACO.Workers controls parallelism *inside* each colony run the same
-	// way; DefaultOptions and the zero-ACO fallback pin it to 1 so Millis
-	// measures sequential per-call cost unless a caller opts out.
+	// way; the zero-ACO fallback pins it to 1 so Millis measures
+	// sequential per-call cost unless a caller opts out.
 	Workers int
-}
-
-// DefaultOptions uses the paper's parameters with a corpus sample sized for
-// interactive runs. The colony is pinned to ACO.Workers=1 (not the
-// library's all-CPUs default) so the Millis series stays the sequential
-// per-call cost the paper's timing figures report; opt into a parallel
-// colony by setting ACO.Workers explicitly.
-func DefaultOptions() Options {
-	o := Options{Seed: 7, PerGroup: 8, DummyWidth: 1, ACO: core.DefaultParams()}
-	o.ACO.Workers = 1
-	return o
 }
 
 func (o Options) normalized() Options {
@@ -79,8 +68,10 @@ func (o Options) normalized() Options {
 		o.DummyWidth = 1
 	}
 	if o.ACO.Tours == 0 {
-		// Zero-valued ACO: adopt the defaults, sequential for the same
-		// reason as DefaultOptions. An explicitly provided ACO keeps its
+		// Zero-valued ACO: adopt the defaults with the colony pinned to
+		// ACO.Workers=1 (not the library's all-CPUs default), so the
+		// Millis series stays the sequential per-call cost the paper's
+		// timing figures report. An explicitly provided ACO keeps its
 		// Workers setting untouched.
 		o.ACO = core.DefaultParams()
 		o.ACO.Workers = 1

@@ -60,11 +60,6 @@ type bulkResult struct {
 
 // handleBulk serves POST /jobs/bulk.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.httpError(w, http.StatusMethodNotAllowed, "POST ndjson layer requests to /jobs/bulk")
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		s.httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")

@@ -174,8 +174,9 @@ func TestBulkQueueFullRejection(t *testing.T) {
 	}
 }
 
-// TestBulkBadMethodAndEmpty: GET is refused; an empty body streams back
-// an empty (but successful) response.
+// TestBulkBadMethodAndEmpty: GET /jobs/bulk is a poll of job "bulk",
+// which does not exist; an empty body streams back an empty (but
+// successful) response.
 func TestBulkBadMethodAndEmpty(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/jobs/bulk")
@@ -184,8 +185,8 @@ func TestBulkBadMethodAndEmpty(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /jobs/bulk answered %d, want 405", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /jobs/bulk answered %d, want 404", resp.StatusCode)
 	}
 	resp2, lines := postBulk(t, ts, "", "\n\n")
 	if resp2.StatusCode != http.StatusOK || len(lines) != 0 {

@@ -57,24 +57,14 @@ func lastEventID(r *http.Request) (uint64, error) {
 
 // handleJobEvents serves GET /jobs/{id}/events: that job's transitions,
 // ending after the terminal (done/failed/expired) event.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.httpError(w, http.StatusMethodNotAllowed, "GET streams a job's events")
-		return
-	}
-	s.streamEvents(w, r, id, "")
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	s.streamEvents(w, r, r.PathValue("id"), "")
 }
 
 // handleEvents serves GET /events?topic=: the firehose of every job's
 // transitions, optionally filtered to one topic label. The stream stays
 // open until the client leaves or the daemon shuts down.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.httpError(w, http.StatusMethodNotAllowed, "GET streams job events (optionally ?topic=label)")
-		return
-	}
 	s.streamEvents(w, r, "", r.URL.Query().Get("topic"))
 }
 
@@ -119,6 +109,9 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID, top
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // nginx: do not buffer the stream
 	w.WriteHeader(http.StatusOK)
+	if r.Method == http.MethodHead {
+		return // the headers are the answer; a stream would hold the connection
+	}
 	s.metrics.sseStreams.Add(1)
 	s.metrics.sseActive.Add(1)
 	defer s.metrics.sseActive.Add(-1)

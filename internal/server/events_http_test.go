@@ -21,8 +21,8 @@ func TestEventsEndpointMethodAndResumeErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /events: got %d, want 405", resp.StatusCode)
 	}
-	if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
-		t.Fatalf("Allow = %q, want GET", allow)
+	if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+		t.Fatalf("Allow = %q, want GET, HEAD", allow)
 	}
 
 	resp, err = http.Get(ts.URL + "/events?after=not-a-number")

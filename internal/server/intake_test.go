@@ -82,19 +82,22 @@ func TestIntakeParity(t *testing.T) {
 		{"dummy width sum, no long edge", "format=edges&algo=lpl&dummy-width=1e308", "3 2\n1 0\n2 1\n", http.StatusBadRequest,
 			"bad edges input: vertex widths plus dummy-width*n*m sum to 6e+308, above the bound 1e+300"},
 		// Each algorithm's own parameter check runs at intake, so a job
-		// with bad parameters is refused at submission, not at poll time.
-		{"no ants", "ants=0", demoDOT, http.StatusBadRequest, "bad request: core: Ants must be >= 1, got 0"},
-		{"no tours", "tours=0", demoDOT, http.StatusBadRequest, "bad request: core: Tours must be >= 1, got 0"},
-		{"negative beta", "beta=-2", demoDOT, http.StatusBadRequest, "bad request: core: Beta must be >= 0, got -2"},
+		// with bad parameters is refused at submission, not at poll time,
+		// in the words of the query parameter the client sent.
+		{"no ants", "ants=0", demoDOT, http.StatusBadRequest, `bad request: query parameter ants="0": must be >= 1`},
+		{"no tours", "tours=0", demoDOT, http.StatusBadRequest, `bad request: query parameter tours="0": must be >= 1`},
+		{"negative beta", "beta=-2", demoDOT, http.StatusBadRequest, `bad request: query parameter beta="-2": must be >= 0`},
 		{"zero dummy width aco", "dummy-width=0", demoDOT, http.StatusBadRequest,
-			"bad request: core: DummyWidth must be > 0, got 0"},
+			`bad request: query parameter dummy-width="0": must be > 0`},
 		{"negative stall tours", "stall-tours=-1", demoDOT, http.StatusBadRequest,
-			"bad request: core: StopAfterStagnantTours must be >= 0, got -1"},
+			`bad request: query parameter stall-tours="-1": must be >= 0`},
+		{"negative stop stagnant", "stop-stagnant=-1", demoDOT, http.StatusBadRequest,
+			`bad request: query parameter stop-stagnant="-1": must be >= 0`},
 		{"negative workers", "seed=5&workers=-1", demoDOT, http.StatusBadRequest,
-			"bad request: core: Workers must be >= 0, got -1"},
-		{"island colony", "algo=island&ants=0", demoDOT, http.StatusBadRequest, "bad request: core: Ants must be >= 1, got 0"},
+			`bad request: query parameter workers="-1": must be >= 0`},
+		{"island colony", "algo=island&ants=0", demoDOT, http.StatusBadRequest, `bad request: query parameter ants="0": must be >= 1`},
 		{"negative cg width", "algo=cg&cg-width=-1", demoDOT, http.StatusBadRequest,
-			"bad request: cg-width must be >= 1, or 0 for the default 4; got -1"},
+			`bad request: query parameter cg-width="-1": must be >= 1, or 0 for the default 4`},
 	}
 	for _, c := range cases {
 		lresp, lbody := postRaw(t, ts, "/layer", c.query, c.graph)
@@ -210,6 +213,36 @@ func TestRequestKeysGolden(t *testing.T) {
 		if got := resp.Header.Get("X-Graph-Key"); got != c.wantGraph {
 			t.Errorf("%s: X-Graph-Key = %s, want %s", c.name, got, c.wantGraph)
 		}
+	}
+}
+
+// TestKeysIgnoreUnreadKnobs: a knob the chosen algorithm does not read
+// changes no body, so it changes no key either. The colony parameters
+// are ignored by the algorithms without a colony, and cg reads cg-width 0
+// as its default 4: each pair is served one body from one cache entry.
+func TestKeysIgnoreUnreadKnobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	pairs := [][2]string{
+		{"algo=lpl", "algo=lpl&seed=5"},
+		{"algo=ns", "algo=ns&tours=3&ants=2"},
+		{"algo=minwidth", "algo=minwidth&beta=2"},
+		{"algo=cg", "algo=cg&cg-width=0"},
+	}
+	for _, p := range pairs {
+		first, body := postRaw(t, ts, "/layer", p[0], demoDOT)
+		second, again := postRaw(t, ts, "/layer", p[1], demoDOT)
+		if first.StatusCode != http.StatusOK || second.StatusCode != http.StatusOK {
+			t.Fatalf("%s: answered %d and %d", p, first.StatusCode, second.StatusCode)
+		}
+		if a, b := first.Header.Get("X-Cache-Key"), second.Header.Get("X-Cache-Key"); a != b {
+			t.Errorf("%s: X-Cache-Key %s, then %s", p, a, b)
+		}
+		if got := second.Header.Get("X-Cache"); got != "hit" || !bytes.Equal(body, again) {
+			t.Errorf("%s: second answer X-Cache %q, same body %t", p, got, bytes.Equal(body, again))
+		}
+	}
+	if got := s.Metrics().CacheEntries; got != len(pairs) {
+		t.Errorf("cache_entries = %d for %d bodies", got, len(pairs))
 	}
 }
 
@@ -372,7 +405,7 @@ func FuzzParseRequest(f *testing.F) {
 		case len(req.Base) > 128 || len(req.Labels) > 8:
 			t.Fatalf("base of %d bytes, %d labels accepted", len(req.Base), len(req.Labels))
 		case req.Algo == "aco" && req.ACO.Validate() != nil,
-			req.Algo == "island" && req.Options().IslandOf().Validate() != nil,
+			req.Algo == "island" && req.IslandOf().Validate() != nil,
 			req.Algo == "cg" && req.CGWidth < 0:
 			t.Fatalf("parameters %s would refuse accepted from %q", req.Algo, raw)
 		}

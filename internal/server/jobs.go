@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"antlayer/internal/batch"
@@ -43,19 +42,9 @@ type jobStatus struct {
 	Poll string `json:"poll,omitempty"`
 }
 
-// handleJobs serves POST /jobs — prepare synchronously (bad requests fail
-// now, not at poll time), then enqueue the computation — and GET /jobs,
-// the job listing.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet {
-		s.handleJobList(w, r)
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		s.httpError(w, http.StatusMethodNotAllowed, "POST a DOT or edge-list graph to /jobs (then poll GET /jobs/{id}), or GET /jobs to list")
-		return
-	}
+// handleSubmit serves POST /jobs: prepare synchronously (bad requests
+// fail now, not at poll time), then enqueue the computation.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// A job's trace spans its whole life: opened at submission, finished
 	// when the job settles, so the queue wait is visible in the span
 	// breakdown.
@@ -136,43 +125,42 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-// handleJob serves GET (poll) and DELETE (cancel) on /jobs/{id}.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	if base, ok := strings.CutSuffix(id, "/events"); ok && base != "" && !strings.Contains(base, "/") {
-		s.handleJobEvents(w, r, base)
+// handlePoll serves GET /jobs/{id}.
+func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
+	if job, ok := s.job(w, r); ok {
+		s.writeJobSnapshot(w, job.Snapshot())
+	}
+}
+
+// handleCancel serves DELETE /jobs/{id}.
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	job, ok := s.job(w, r)
+	if !ok {
 		return
 	}
-	if id == "" || strings.Contains(id, "/") {
-		s.httpError(w, http.StatusNotFound, "want /jobs/{id}")
-		return
+	s.jobs.Cancel(job.ID())
+	// Cancelling a queued job settles it synchronously; a running one may
+	// take a moment to unwind. Either way, answer with the state as it is
+	// now.
+	snap := job.Snapshot()
+	if snap.State.Terminal() && snap.Started.IsZero() {
+		// The job never ran, so the closure that finishes its trace never
+		// will.
+		if tr, ok := s.tracer.Get(snap.TraceID); ok {
+			s.tracer.Finish(tr)
+		}
 	}
+	s.writeJobSnapshot(w, snap)
+}
+
+// job looks up the route's {id}, answering 404 when it is not tracked.
+func (s *Server) job(w http.ResponseWriter, r *http.Request) (*batch.Job, bool) {
+	id := r.PathValue("id")
 	job, ok := s.jobs.Get(id)
 	if !ok {
 		s.httpError(w, http.StatusNotFound, "no such job %q (finished jobs are retained for a bounded time)", id)
-		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		s.writeJobSnapshot(w, job.Snapshot())
-	case http.MethodDelete:
-		s.jobs.Cancel(id)
-		// Cancelling a queued job settles it synchronously; a running one
-		// may take a moment to unwind. Either way, answer with the state
-		// as it is now.
-		snap := job.Snapshot()
-		if snap.State.Terminal() && snap.Started.IsZero() {
-			// The job never ran, so the closure that finishes its trace
-			// never will.
-			if tr, ok := s.tracer.Get(snap.TraceID); ok {
-				s.tracer.Finish(tr)
-			}
-		}
-		s.writeJobSnapshot(w, snap)
-	default:
-		w.Header().Set("Allow", "GET, DELETE")
-		s.httpError(w, http.StatusMethodNotAllowed, "GET polls a job, DELETE cancels it")
-	}
+	return job, ok
 }
 
 // writeJobSnapshot renders a job state: done jobs as the raw /layer body,

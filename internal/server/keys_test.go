@@ -16,12 +16,12 @@ import (
 
 // TestKeysMatchFmt pins the keys' byte contract: graphKey and requestKey
 // hash exactly the bytes the fmt-based versions they replaced hashed
-// (oracleGraphKey, oracleRequestKey), so every X-Graph-Key and
-// X-Cache-Key stays what clients and caches already hold. Graphs are
-// corpus graphs under random names (quotes, backslashes, invalid UTF-8,
-// non-ASCII) and widths; requests randomise every field of the colony
-// parameters by reflection, so a field added to core.Params fails here
-// until appendParams writes it.
+// (oracleGraphKey, and oracleRequestKey of the keyed request), so every
+// X-Graph-Key and X-Cache-Key stays what clients and caches already
+// hold. Graphs are corpus graphs under random names (quotes, backslashes,
+// invalid UTF-8, non-ASCII) and widths; requests randomise every field of
+// the colony parameters by reflection, so a field added to core.Params
+// fails here until appendParams writes it.
 func TestKeysMatchFmt(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0))
 	groups, err := graphgen.CorpusSample(5, 2)
@@ -82,7 +82,7 @@ func TestKeysMatchFmt(t *testing.T) {
 			}
 		}
 		gk := keys[i%len(keys)]
-		if got, want := requestKey(req, gk), oracleRequestKey(req, gk); got != want {
+		if got, want := requestKey(req, gk), oracleRequestKey(req.keyed(), gk); got != want {
 			t.Fatalf("%+v: requestKey %s, fmt %s", req, got, want)
 		}
 	}
@@ -100,7 +100,7 @@ func oracleRequestKey(req Request, gk string) string {
 	aco.ExportState = false
 	islands, interval := 0, 0
 	if req.Algo == "island" {
-		ip := req.Options().IslandOf()
+		ip := req.IslandOf()
 		islands, interval = ip.Islands, ip.MigrationInterval
 	}
 	fmt.Fprintf(h, "p algo=%s promote=%t render=%s dummyWidth=%g cgWidth=%d islands=%d interval=%d aco=%+v\n",

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"antlayer"
+	"antlayer/internal/core"
 	"antlayer/internal/dot"
 	"antlayer/internal/obs"
 )
@@ -37,15 +39,12 @@ const (
 // same query. Both daemon and batch feed Compute, so a batch result file
 // holds byte-for-byte the body the daemon would have served.
 type Request struct {
-	Format            string // dot | edges
-	Algo              string // aco | island | lpl | minwidth | cg | ns
-	Promote           bool
-	Render            RenderMode
-	DummyWidth        float64
-	CGWidth           int
-	ACO               antlayer.ACOParams
-	Islands           int // island: colony count (0 = default)
-	MigrationInterval int // island: tours between migrations (0 = default)
+	Format  string // dot | edges
+	Algo    string // aco | island | lpl | minwidth | cg | ns
+	Promote bool
+	Render  RenderMode
+	// Options holds the algorithm knobs, as LayererByName reads them.
+	antlayer.Options
 	// Distributed asks for algo=island to run on the shard coordinator's
 	// worker fleet instead of in-process. It deliberately does not
 	// parameterise the response body — the distributed archipelago is
@@ -78,24 +77,11 @@ type Request struct {
 // DefaultRequest returns the request every unset parameter falls back to.
 func DefaultRequest() Request {
 	return Request{
-		Format:     "dot",
-		Algo:       "aco",
-		Render:     RenderNone,
-		DummyWidth: 1,
-		CGWidth:    4,
-		ACO:        antlayer.DefaultACOParams(),
-		Warm:       true,
-	}
-}
-
-// Options maps the request onto the shared algorithm-constructor options.
-func (req Request) Options() antlayer.Options {
-	return antlayer.Options{
-		DummyWidth:        req.DummyWidth,
-		CGWidth:           req.CGWidth,
-		ACO:               req.ACO,
-		Islands:           req.Islands,
-		MigrationInterval: req.MigrationInterval,
+		Format:  "dot",
+		Algo:    "aco",
+		Render:  RenderNone,
+		Options: antlayer.Options{DummyWidth: 1, CGWidth: 4, ACO: antlayer.DefaultACOParams()},
+		Warm:    true,
 	}
 }
 
@@ -106,7 +92,7 @@ func (req Request) colonies() int {
 	case "aco":
 		return 1
 	case "island":
-		return req.Options().IslandOf().Islands
+		return req.IslandOf().Islands
 	}
 	return 0
 }
@@ -119,6 +105,7 @@ func (req Request) colonies() int {
 func ParseRequest(q url.Values) (Request, error) {
 	req := DefaultRequest()
 	var err error
+	stallKey := "stall-tours"
 	for key, vals := range q {
 		v := vals[len(vals)-1]
 		switch key {
@@ -148,6 +135,7 @@ func ParseRequest(q url.Values) (Request, error) {
 			req.ACO.Workers, err = strconv.Atoi(v)
 		case "stop-stagnant", "stall-tours": // two names, one knob
 			req.ACO.StopAfterStagnantTours, err = strconv.Atoi(v)
+			stallKey = key
 		case "width-bound":
 			req.ACO.WidthBound, err = strconv.ParseFloat(v, 64)
 		case "islands":
@@ -224,18 +212,41 @@ func ParseRequest(q url.Values) (Request, error) {
 	// The algorithm's own parameter check runs here, so an invalid
 	// request is refused at intake on every path: never after it took a
 	// compute slot, never at poll time, and never served from a cache
-	// entry whose key ignores the bad knob (Workers).
+	// entry whose key ignores the bad knob (Workers). A refusal names the
+	// query parameter the client sent, not the colony's field.
 	switch req.Algo {
 	case "aco":
 		err = req.ACO.Validate()
 	case "island":
-		err = req.Options().IslandOf().Validate()
+		err = req.IslandOf().Validate()
 	case "cg":
 		if req.CGWidth < 0 {
-			err = fmt.Errorf("cg-width must be >= 1, or 0 for the default 4; got %d", req.CGWidth)
+			err = badParam(q, "cg-width", "must be >= 1, or 0 for the default 4")
 		}
 	}
+	var fe *core.FieldError
+	if errors.As(err, &fe) && colonyKeys[fe.Field] != "" {
+		key := colonyKeys[fe.Field]
+		if key == "stall-tours" {
+			key = stallKey
+		}
+		err = badParam(q, key, fe.Rule)
+	}
 	return req, err
+}
+
+// colonyKeys names the query parameter behind each colony field
+// ParseRequest sets.
+var colonyKeys = map[string]string{
+	"Ants": "ants", "Tours": "tours", "Alpha": "alpha", "Beta": "beta", "DummyWidth": "dummy-width",
+	"WidthBound": "width-bound", "StopAfterStagnantTours": "stall-tours", "Workers": "workers",
+}
+
+// badParam words the refusal of the value q holds under key the way
+// every parse error is worded.
+func badParam(q url.Values, key, rule string) error {
+	vals := q[key]
+	return fmt.Errorf("query parameter %s=%q: %s", key, vals[len(vals)-1], rule)
 }
 
 // ParseGraph decodes a graph in the request's format, returning the graph
@@ -289,18 +300,7 @@ func parseGraph(req Request, body io.Reader, admit func(n int) error) (*antlayer
 }
 
 // requestKey is the cache key: a hash over gk, the graph's canonical hash
-// (graphKey), and every parameter that determines the response body.
-//
-// Several fields are deliberately excluded. Workers: the layering is
-// bitwise-identical at any worker count (PR 1, and the island model keeps
-// the guarantee), so requests differing only in parallelism share a
-// result. Distributed: the sharded archipelago is byte-identical to the
-// in-process one at any worker-process count and partition (DESIGN.md
-// §10), so a distributed request and its local twin share one entry.
-// Timeout: it bounds the computation but does not parameterise it.
-// Warm/Base: they select how the server may compute the answer, not what
-// was asked; warm-started bodies live under a lineage-suffixed variant of
-// this key (Server.warmPlan), so the bare key always names the cold body.
+// (graphKey), and the request as keyed canonicalises it.
 //
 // Edge order is canonicalised, so the same graph serialised in two edge
 // orders maps to one entry. Layer-width accumulation is floating-point and
@@ -309,25 +309,7 @@ func parseGraph(req Request, body io.Reader, admit func(n int) error) (*antlayer
 // cache pins whichever was computed first, which keeps responses stable —
 // a feature, not a loss.
 func requestKey(req Request, gk string) string {
-	aco := req.ACO
-	aco.Workers = 0
-	// Warm and ExportState never parameterise the body of a *cold*
-	// computation (exporting is a side channel; Warm is nil on the cold
-	// path). A warm-started computation *does* have a different body; it
-	// is cached under this key plus a lineage suffix (Server.warmPlan),
-	// never under the bare key.
-	aco.Warm = nil
-	aco.ExportState = false
-	// The island knobs are canonicalised before hashing: for algo=island
-	// the resolved values (defaults applied) go in, so ?algo=island and
-	// ?algo=island&islands=4&migration-interval=2 — the same computation —
-	// share one entry; for every other algorithm they are zeroed, because
-	// they cannot influence the result.
-	islands, interval := 0, 0
-	if req.Algo == "island" {
-		ip := req.Options().IslandOf()
-		islands, interval = ip.Islands, ip.MigrationInterval
-	}
+	req = req.keyed()
 	// The bytes are those of "graph=%s\np algo=%s promote=%t render=%s
 	// dummyWidth=%g cgWidth=%d islands=%d interval=%d aco=%+v\n", the
 	// format the keys were first defined by (TestKeysMatchFmt).
@@ -338,15 +320,50 @@ func requestKey(req Request, gk string) string {
 	b = append(append(b, " render="...), req.Render...)
 	b = strconv.AppendFloat(append(b, " dummyWidth="...), req.DummyWidth, 'g', -1, 64)
 	b = strconv.AppendInt(append(b, " cgWidth="...), int64(req.CGWidth), 10)
-	b = strconv.AppendInt(append(b, " islands="...), int64(islands), 10)
-	b = strconv.AppendInt(append(b, " interval="...), int64(interval), 10)
-	b = append(appendParams(append(b, " aco="...), aco), '\n')
+	b = strconv.AppendInt(append(b, " islands="...), int64(req.Islands), 10)
+	b = strconv.AppendInt(append(b, " interval="...), int64(req.MigrationInterval), 10)
+	b = append(appendParams(append(b, " aco="...), req.ACO), '\n')
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// appendParams appends what fmt's %+v writes for p, whose Warm
-// requestKey has cleared: every field in declaration order as Name:value,
+// keyed returns the request as requestKey hashes it: every knob that
+// cannot change the body set to one value, so requests that compute the
+// same body share one entry.
+//
+// Workers: the layering is bitwise-identical at any worker count, island
+// model included. Warm and ExportState: a cold body never depends on them
+// (exporting is a side channel); a warm-started body is cached under this
+// key plus a lineage suffix (Server.warmPlan), never under the bare key.
+// The island knobs are resolved (defaults applied) for algo=island, so
+// ?algo=island and ?algo=island&islands=4&migration-interval=2 share one
+// entry, and zeroed for every other algorithm. The algorithms without a
+// colony hash the default colony parameters at the request's dummy width,
+// and cg hashes cg-width 0 as the 4 it means. Of the fields outside
+// Options, requestKey hashes Algo, Promote and Render: the others choose
+// how the graph is read (Format) or how and when the answer is computed,
+// not what it is.
+func (req Request) keyed() Request {
+	req.ACO.Workers, req.ACO.Warm, req.ACO.ExportState = 0, nil, false
+	ip := req.IslandOf()
+	req.Islands, req.MigrationInterval = 0, 0
+	switch req.Algo {
+	case "island":
+		req.Islands, req.MigrationInterval = ip.Islands, ip.MigrationInterval
+	case "aco":
+	default:
+		def := DefaultRequest()
+		req.ACO = def.ACO
+		req.ACO.DummyWidth = req.DummyWidth
+		if req.Algo == "cg" && req.CGWidth == 0 {
+			req.CGWidth = def.CGWidth
+		}
+	}
+	return req
+}
+
+// appendParams appends what fmt's %+v writes for p, whose Warm keyed
+// has cleared: every field in declaration order as Name:value,
 // floats as %g, the modes through their String methods.
 func appendParams(b []byte, p antlayer.ACOParams) []byte {
 	b = strconv.AppendInt(append(b, "{Ants:"...), int64(p.Ants), 10)
@@ -500,7 +517,7 @@ func compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		}
 		toursRun = len(colony.History)
 	case "island":
-		res, err := runIsland(ctx, g, req.Options().IslandOf())
+		res, err := runIsland(ctx, g, req.IslandOf())
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -512,7 +529,7 @@ func compute(ctx context.Context, req Request, g *antlayer.Graph, names []string
 		resp.BestIsland = &bestIsland
 		resp.Islands = len(res.PerIsland)
 	default:
-		layerer, err := antlayer.LayererByName(ctx, req.Algo, req.Options())
+		layerer, err := antlayer.LayererByName(ctx, req.Algo, req.Options)
 		if err != nil {
 			return nil, 0, nil, err
 		}

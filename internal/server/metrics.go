@@ -26,7 +26,9 @@ type serverMetrics struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64 // computed-and-stored bodies, not failed lookups
 	coalesced     atomic.Int64 // requests served by an identical in-flight compute
-	errors        atomic.Int64 // /layer requests answered with a 4xx/5xx
+	// errors counts the 4xx/5xx refusals a handler made: the mux's own
+	// 404 (unknown path) and 405 (wrong method) are not counted.
+	errors        atomic.Int64
 	timeouts      atomic.Int64 // /layer requests answered 504
 	toursRun      atomic.Int64 // colony tours executed (cache hits run zero)
 	inFlight      atomic.Int64 // computations currently running (any path)

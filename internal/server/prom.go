@@ -53,7 +53,7 @@ func writeProm(w io.Writer, m MetricsSnapshot) error {
 	p.Family("daglayer_warm_bytes", "gauge", "Resident bytes of the warm cache.")
 	p.Value("daglayer_warm_bytes", float64(m.WarmBytes))
 
-	p.Family("daglayer_errors_total", "counter", "Requests answered with a 4xx or 5xx status.")
+	p.Family("daglayer_errors_total", "counter", "Requests a handler refused with a 4xx or 5xx status.")
 	p.Value("daglayer_errors_total", float64(m.Errors))
 	p.Family("daglayer_timeouts_total", "counter", "Layer requests answered 504.")
 	p.Value("daglayer_timeouts_total", float64(m.Timeouts))

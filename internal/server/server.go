@@ -239,21 +239,27 @@ func New(cfg Config) *Server {
 	if cfg.WarmCacheBytes > 0 {
 		s.warm = newWarmCache(cfg.WarmCacheBytes)
 	}
+	// The route table, the one place routes and methods live: the mux
+	// answers a wrong method 405 with its own Allow, an unknown path 404.
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/layer", s.handleLayer)
-	s.mux.HandleFunc("/jobs", s.handleJobs)
-	s.mux.HandleFunc("/jobs/bulk", s.handleBulk)
-	s.mux.HandleFunc("/jobs/", s.handleJob)
-	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/cluster", s.handleCluster)
-	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/traces/", s.handleTrace)
+	s.mux.HandleFunc("POST /layer", s.handleLayer)
+	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
+	s.mux.HandleFunc("GET /jobs", s.handleJobList)
+	s.mux.HandleFunc("POST /jobs/bulk", s.handleBulk)
+	s.mux.HandleFunc("GET /jobs/{id}", s.handlePoll)
+	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
+	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleJobEvents)
+	s.mux.HandleFunc("GET /events", s.handleEvents)
+	s.mux.HandleFunc("GET /traces", s.handleTraces)
+	s.mux.HandleFunc("GET /traces/{id}", s.handleTrace)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /cluster", s.handleCluster)
 	if cfg.EnablePprof {
 		// Mounted explicitly on the daemon's own mux — importing
 		// net/http/pprof registers on DefaultServeMux, which this server
-		// never serves, so nothing leaks when the flag is off.
+		// never serves, so nothing leaks when the flag is off. Method-less:
+		// /debug/pprof/symbol takes POST as well as GET.
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -581,11 +587,6 @@ func (s *Server) takeSlot(ctx context.Context) (func(), error) {
 // deadline. A /layer request waits for a compute slot until its deadline
 // and is never refused 429 for want of one.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.httpError(w, http.StatusMethodNotAllowed, "POST a DOT or edge-list graph to /layer")
-		return
-	}
 	s.metrics.layerRequests.Add(1)
 	start := time.Now()
 	defer func() { s.metrics.observeLatency(time.Since(start)) }()

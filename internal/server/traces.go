@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"antlayer/internal/obs"
@@ -16,11 +15,6 @@ import (
 //	?limit=N    at most N traces (0 or absent: all retained)
 //	?min_ms=D   only finished traces at least D milliseconds long
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.httpError(w, http.StatusMethodNotAllowed, "GET /traces lists retained request traces")
-		return
-	}
 	limit := 0
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -52,16 +46,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // breakdown, including rebased worker spans for distributed runs. 404
 // when the ID was never seen or has aged out of both retention tiers.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.httpError(w, http.StatusMethodNotAllowed, "GET /traces/{id} fetches one request trace")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/traces/")
-	if id == "" || strings.Contains(id, "/") {
-		s.httpError(w, http.StatusNotFound, "want /traces/{id}")
-		return
-	}
+	id := r.PathValue("id")
 	tr, ok := s.tracer.Get(id)
 	if !ok {
 		s.httpError(w, http.StatusNotFound, "no trace %q (traces are retained in a bounded ring plus a slowest-N list)", id)

@@ -173,10 +173,9 @@ func (c *warmCache) probe(names []string, minSim float64) (*warmEntry, float64) 
 // the X-Warm-Base header) and the tour budget the request would have
 // burned cold, so tours_saved can be measured against what actually ran.
 type warmRun struct {
-	key        string
-	baseKey    string
-	similarity float64
-	coldTours  int
+	key       string
+	baseKey   string
+	coldTours int
 }
 
 // warmPlan decides how a prepared call computes: cold, or warm-started
@@ -208,11 +207,10 @@ func (s *Server) warmPlan(c *call) {
 	}
 	c.probed = true
 	var entry *warmEntry
-	sim := 1.0
 	if req.Base != "" {
 		entry, _ = s.warm.Get(req.Base) // the exact graph key
 	} else {
-		entry, sim = s.warm.probe(c.names, warmMinSimilarity)
+		entry, _ = s.warm.probe(c.names, warmMinSimilarity)
 	}
 	if entry == nil {
 		// Eligible, probed, nothing usable: a warm miss — the cold run
@@ -241,9 +239,8 @@ func (s *Server) warmPlan(c *call) {
 		req.ACO.StopAfterStagnantTours = warmStallTours
 	}
 	c.warm = &warmRun{
-		key:        c.key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10),
-		baseKey:    entry.key,
-		similarity: sim,
-		coldTours:  coldTours * req.colonies(),
+		key:       c.key + "|warm|" + entry.key + "|" + strconv.FormatUint(entry.gen, 10),
+		baseKey:   entry.key,
+		coldTours: coldTours * req.colonies(),
 	}
 }
