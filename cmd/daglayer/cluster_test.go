@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"antlayer/internal/chaos"
 )
 
 // TestClusterEndToEnd is the multi-process acceptance test: a coordinator
@@ -96,7 +98,7 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 // TestClusterConcurrentRuns is the scheduler's multi-process acceptance
-// test: on a 4-worker fleet whose epochs are slowed enough that runs
+// test: on a 4-worker fleet behind a slow link, so that runs
 // demonstrably overlap, two K=2 distributed requests must (a) finish as
 // a pair in well under 1.5x one run's wall-clock — i.e. actually run
 // concurrently on disjoint leases — and (b) each answer byte-identically
@@ -128,11 +130,18 @@ func TestClusterConcurrentRuns(t *testing.T) {
 	httpAddr, coordAddr := scanServeAddrs(t, stdout)
 	baseURL := "http://" + httpAddr
 
+	// Every frame a worker sends reaches the coordinator 45ms late: three
+	// epochs and a report make a run take about 180ms.
+	link, err := chaos.StartRelay(coordAddr, 45*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
 	workers := make(map[string]*exec.Cmd, 4)
 	for i := 1; i <= 4; i++ {
 		name := fmt.Sprintf("cw%d", i)
-		w := exec.CommandContext(ctx, bin, "worker", "-coordinator", coordAddr,
-			"-name", name, "-fault-epoch-delay", "60ms", "-quiet")
+		w := exec.CommandContext(ctx, bin, "worker", "-coordinator", link.Addr(),
+			"-name", name, "-quiet")
 		w.Stdout = io.Discard
 		w.Stderr = os.Stderr
 		if err := w.Start(); err != nil {

@@ -60,9 +60,9 @@
 // so dead processes are expelled promptly; they reconnect with capped
 // exponential backoff (-retry, -retry-max) that resets after a
 // successful registration. The chaos harness (cmd/loadgen, DESIGN.md
-// §11) exercises all of it against real process trees; its fault knobs
-// (worker -fault-epoch-delay, serve -fault-compute-delay) are for
-// testing only.
+// §11) exercises all of it against real process trees. Neither mode has
+// a fault flag: the harness slows a worker on the wire, through a relay
+// between it and the coordinator.
 package main
 
 import (

@@ -37,7 +37,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		secret      = fs.String("cluster-secret", "", "shared secret workers must present to register (empty = open cluster)")
 		warmBytes   = fs.Int64("warm-cache-bytes", 0, "warm-start state cache budget in bytes (0 = default 64 MiB, negative disables warm starting)")
 		traceSample = fs.Float64("trace-sample", 1, "fraction of requests that get a trace (head sampling; 1 = every request)")
-		faultDelay  = fs.Duration("fault-compute-delay", 0, "TESTING ONLY: add this delay to every computation, simulating a slow backend for chaos scenarios")
 		quiet       = fs.Bool("quiet", false, "suppress per-request logging")
 		logLevel    = fs.String("log-level", "info", "log threshold: debug|info|warn|error")
 		logFormat   = fs.String("log-format", "text", "log line format: text|json")
@@ -107,25 +106,24 @@ flags:
 		return err
 	}
 	cfg := server.Config{
-		Addr:              *addr,
-		CacheSize:         *cacheSize,
-		CacheMaxBytes:     *cacheBytes,
-		MaxConcurrent:     *maxConc,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		MaxBodyBytes:      *maxBody,
-		ShutdownGrace:     *grace,
-		JobQueueDepth:     *jobQueue,
-		JobRetention:      *jobRetain,
-		JobExpiry:         *jobExpiry,
-		EventRing:         *eventRing,
-		SSEHeartbeat:      *sseHeart,
-		FaultComputeDelay: *faultDelay,
-		TraceRing:         *traceRing,
-		TraceSlowest:      *traceSlow,
-		TraceSample:       *traceSample,
-		WarmCacheBytes:    *warmBytes,
-		EnablePprof:       *pprofOn,
+		Addr:           *addr,
+		CacheSize:      *cacheSize,
+		CacheMaxBytes:  *cacheBytes,
+		MaxConcurrent:  *maxConc,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		MaxBodyBytes:   *maxBody,
+		ShutdownGrace:  *grace,
+		JobQueueDepth:  *jobQueue,
+		JobRetention:   *jobRetain,
+		JobExpiry:      *jobExpiry,
+		EventRing:      *eventRing,
+		SSEHeartbeat:   *sseHeart,
+		TraceRing:      *traceRing,
+		TraceSlowest:   *traceSlow,
+		TraceSample:    *traceSample,
+		WarmCacheBytes: *warmBytes,
+		EnablePprof:    *pprofOn,
 	}
 	if *traceSample == 0 {
 		// On the flag, 0 reads as "trace nothing"; in the Config, 0 is the

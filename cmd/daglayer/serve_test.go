@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -66,4 +69,49 @@ func TestServeStartsAndShutsDownGracefully(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("serve did not return after cancel")
 	}
+}
+
+// TestNoFaultFlags: the shipped binaries carry no test hooks. Neither
+// serve nor worker lists a fault flag in its -h, and one given anyway is
+// refused as undefined; chaos tests make workers slow or dead on the
+// wire instead.
+func TestNoFaultFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a mode that parses its flags returns at once
+	for _, mode := range []string{"serve", "worker"} {
+		usage, err := stderrOf(t, func() error { return run(ctx, []string{mode, "-h"}, nil, io.Discard) })
+		if err != flag.ErrHelp || !strings.Contains(usage, "-quiet") {
+			t.Fatalf("%s -h: err %v, usage %q", mode, err, usage)
+		}
+		if strings.Contains(usage, "-fault") {
+			t.Fatalf("%s -h lists a fault flag:\n%s", mode, usage)
+		}
+	}
+	for _, args := range [][]string{{"serve", "-fault-compute-delay", "1s"}, {"worker", "-fault-epoch-delay", "1s"}} {
+		_, err := stderrOf(t, func() error { return run(ctx, args, nil, io.Discard) })
+		if want := "flag provided but not defined: " + args[1]; err == nil || err.Error() != want {
+			t.Errorf("%v: err %v, want %q", args, err, want)
+		}
+	}
+}
+
+// stderrOf runs f with os.Stderr captured: flag sets print their usage
+// there.
+func stderrOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	ferr := f()
+	os.Stderr = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
 }

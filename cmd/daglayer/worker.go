@@ -95,7 +95,6 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 		retry       = fs.Duration("retry", 2*time.Second, "base backoff between reconnect attempts (doubles per failure); 0 exits on the first connection error")
 		retryMax    = fs.Duration("retry-max", 30*time.Second, "cap on the reconnect backoff")
 		secret      = fs.String("cluster-secret", "", "shared secret to present at registration (must match the coordinator's -cluster-secret)")
-		faultDelay  = fs.Duration("fault-epoch-delay", 0, "TESTING ONLY: sleep this long every epoch, simulating a slow worker for chaos scenarios")
 		quiet       = fs.Bool("quiet", false, "suppress per-run logging")
 		logLevel    = fs.String("log-level", "info", "log threshold: debug|info|warn|error")
 		logFormat   = fs.String("log-format", "text", "log line format: text|json")
@@ -132,18 +131,14 @@ flags:
 	if b.max < b.base {
 		b.max = b.base
 	}
-	wcfg := shard.WorkerConfig{
+	w := shard.NewWorker(shard.WorkerConfig{
 		Name:   *name,
 		Secret: *secret,
 		Log:    logger,
 		// A successful registration resets the backoff: the next outage
 		// starts the schedule from the base delay again.
 		OnRegister: func(int) { b.reset() },
-	}
-	if *faultDelay > 0 {
-		wcfg.Fault = &shard.FaultPlan{EpochDelay: *faultDelay}
-	}
-	w := shard.NewWorker(wcfg)
+	})
 	return workerLoop(ctx, *coordinator, func(ctx context.Context) error {
 		return w.Run(ctx, *coordinator)
 	}, b, sleepCtx, logger)

@@ -2,9 +2,12 @@ package chaos
 
 import (
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"testing"
+	"time"
 )
 
 func TestMixPickDeterministicAndWeighted(t *testing.T) {
@@ -207,5 +210,62 @@ func TestScenarioValidateCatchesBadDefinitions(t *testing.T) {
 	bad.Mix.Distributed = 1 // no workers
 	if bad.validate() == nil {
 		t.Error("distributed traffic without workers validated")
+	}
+}
+
+// TestRelayDelaysWhatTheDialerSends: what the dialing side writes reaches
+// the upstream whole, in order and no sooner than the delay; the answer
+// comes back without it; Close cuts the link.
+func TestRelayDelaysWhatTheDialerSends(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	up, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	r, err := StartRelay(up.Addr().String(), delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	conn, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := up.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	sent := time.Now()
+	for _, s := range []string{"ab", "cd", "ef"} {
+		if _, err := conn.Write([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, 6)
+	if _, err := io.ReadFull(peer, got); err != nil || string(got) != "abcdef" {
+		t.Fatalf("upstream read %q, %v", got, err)
+	}
+	if d := time.Since(sent); d < delay {
+		t.Errorf("bytes arrived after %v, before the %v delay", d, delay)
+	}
+
+	sent = time.Now()
+	if _, err := peer.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, got[:1]); err != nil || got[0] != 'x' {
+		t.Fatalf("dialer read %q, %v", got[:1], err)
+	}
+	if d := time.Since(sent); d >= delay {
+		t.Errorf("the answer took %v, want it undelayed", d)
+	}
+
+	r.Close()
+	if _, err := conn.Read(got); err == nil {
+		t.Error("the dialer's connection outlived Close")
 	}
 }

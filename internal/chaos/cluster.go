@@ -25,7 +25,7 @@ type Cluster struct {
 	// Coordinator selects whether serve also runs a shard coordinator.
 	Coordinator bool
 	// ServeArgs / WorkerArgs are appended to the respective command lines
-	// (chaos knobs like -fault-compute-delay, -heartbeat-timeout, -retry).
+	// (chaos knobs like -job-queue, -heartbeat-timeout, -retry).
 	ServeArgs  []string
 	WorkerArgs []string
 	// Log receives the process tree's stderr (nil = inherit os.Stderr).
@@ -40,6 +40,7 @@ type Cluster struct {
 	mu      sync.Mutex
 	serve   *exec.Cmd
 	workers map[string]*exec.Cmd
+	relays  []*Relay
 }
 
 // StartCluster spawns the daemon (and nothing else; workers are started
@@ -178,18 +179,28 @@ func (c *Cluster) RestartServe(ctx context.Context) error {
 }
 
 // StartWorker launches one worker process registered with the pinned
-// coordinator address. extra args come after WorkerArgs (so a scenario
-// can add per-worker chaos knobs like -fault-epoch-delay).
-func (c *Cluster) StartWorker(ctx context.Context, name string, extra ...string) error {
+// coordinator address. With a positive link the worker dials through a
+// Relay that delays everything it sends by link: a slow worker, made slow
+// on the wire rather than by a flag of its own.
+func (c *Cluster) StartWorker(ctx context.Context, name string, link time.Duration) error {
 	c.mu.Lock()
 	coordAddr := c.CoordAddr
 	c.mu.Unlock()
 	if coordAddr == "" {
 		return fmt.Errorf("cluster has no coordinator")
 	}
+	if link > 0 {
+		r, err := StartRelay(coordAddr, link)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.relays = append(c.relays, r)
+		c.mu.Unlock()
+		coordAddr = r.Addr()
+	}
 	args := []string{"worker", "-coordinator", coordAddr, "-name", name}
 	args = append(args, c.WorkerArgs...)
-	args = append(args, extra...)
 	cmd := exec.CommandContext(ctx, c.Bin, args...)
 	cmd.Stdout = io.Discard
 	cmd.Stderr = c.stderr()
@@ -221,11 +232,14 @@ func (c *Cluster) Close() {
 	c.mu.Lock()
 	serve := c.serve
 	c.serve = nil
-	workers := c.workers
-	c.workers = make(map[string]*exec.Cmd)
+	workers, relays := c.workers, c.relays
+	c.workers, c.relays = make(map[string]*exec.Cmd), nil
 	c.mu.Unlock()
 	for _, cmd := range workers {
 		_ = cmd.Process.Kill()
+	}
+	for _, r := range relays {
+		_ = r.Close()
 	}
 	if serve != nil {
 		_ = serve.Process.Kill()

@@ -153,6 +153,10 @@ type Generator struct {
 	// with every slot busy are shed (counted, not errored).
 	Concurrency int
 	Client      *http.Client
+	// DistributedJobs makes the Jobs and Events traffic submit
+	// distributed island jobs, which a coordinator daemon runs on its
+	// worker fleet.
+	DistributedJobs bool
 
 	coldSeq atomic.Int64
 
@@ -378,12 +382,21 @@ func (g *Generator) postOversize(ctx context.Context) string {
 	return class
 }
 
+// jobQuery is an async job's query: a cold colony, or with
+// DistributedJobs a one-island distributed run.
+func (g *Generator) jobQuery() string {
+	seed := 1000 + g.coldSeq.Add(1)
+	if g.DistributedJobs {
+		return fmt.Sprintf("algo=island&islands=1&tours=2&distributed=true&seed=%d", seed)
+	}
+	return fmt.Sprintf("algo=aco&tours=2&seed=%d", seed)
+}
+
 // oneJob submits an async job and follows it to a terminal state; a
 // fraction of submissions are cancelled instead of polled to done.
 func (g *Generator) oneJob(ctx context.Context, rng *rand.Rand) string {
 	cancelIt := rng.Intn(8) == 0
-	query := fmt.Sprintf("algo=aco&tours=2&seed=%d", 1000+g.coldSeq.Add(1))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.BaseURL+"/jobs?"+query, strings.NewReader(loadDOT))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.BaseURL+"/jobs?"+g.jobQuery(), strings.NewReader(loadDOT))
 	if err != nil {
 		return "conn"
 	}
@@ -426,8 +439,7 @@ func (g *Generator) cancelJob(ctx context.Context, id string) string {
 // answers the submission with the usual 429 (an expected class wherever
 // Jobs rejections are expected).
 func (g *Generator) oneEventJob(ctx context.Context) string {
-	query := fmt.Sprintf("algo=aco&tours=2&seed=%d&label=chaos", 1000+g.coldSeq.Add(1))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.BaseURL+"/jobs?"+query, strings.NewReader(loadDOT))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.BaseURL+"/jobs?"+g.jobQuery()+"&label=chaos", strings.NewReader(loadDOT))
 	if err != nil {
 		return "conn"
 	}

@@ -79,7 +79,7 @@ func Run(ctx context.Context, sc Scenario, opt RunOptions) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", sc.Name, err)
 	}
 	for i := 0; i < sc.Workers; i++ {
-		if err := cluster.StartWorker(ctx, fmt.Sprintf("w%d", i+1)); err != nil {
+		if err := cluster.StartWorker(ctx, fmt.Sprintf("w%d", i+1), sc.WorkerLink); err != nil {
 			return nil, fmt.Errorf("%s: start worker: %w", sc.Name, err)
 		}
 	}
@@ -109,6 +109,7 @@ func Run(ctx context.Context, sc Scenario, opt RunOptions) (*Report, error) {
 	}
 
 	gen := NewGenerator(cluster.BaseURL, sc.Seed)
+	gen.DistributedJobs = sc.Workers > 0
 	healthy := sc.Healthy
 	if healthy == nil {
 		healthy = func(ctx context.Context, c *Cluster) bool {

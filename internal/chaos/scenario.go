@@ -36,8 +36,13 @@ type Scenario struct {
 	// minutes); the nightly run executes every scenario.
 	Fast bool
 	Seed int64
-	// Workers is the fleet size (0 = plain daemon, no coordinator).
-	Workers    int
+	// Workers is the fleet size (0 = plain daemon, no coordinator). On a
+	// fleet the async traffic (Mix.Jobs, Mix.Events) submits distributed
+	// island jobs, so jobs run on the workers.
+	Workers int
+	// WorkerLink, when positive, makes the fleet slow on the wire: each
+	// worker dials through a Relay that delays what it sends by this much.
+	WorkerLink time.Duration
 	ServeArgs  []string
 	WorkerArgs []string
 	RPS        float64
@@ -106,7 +111,7 @@ func workerKill() Scenario {
 			return c.KillWorker("w1")
 		},
 		Recover: func(ctx context.Context, c *Cluster) error {
-			return c.StartWorker(ctx, "w1b")
+			return c.StartWorker(ctx, "w1b", 0)
 		},
 		Phases: []Phase{
 			{Name: "warmup", Duration: 2 * time.Second, SLO: SLO{MaxP99Ms: 5000, MaxErrorRate: 0, MinRequests: 10}},
@@ -119,15 +124,16 @@ func workerKill() Scenario {
 	}
 }
 
-// slowWorker: a third worker joins with an injected per-epoch delay. The
-// barrier makes every distributed run as slow as its slowest shard, so
-// p99 rises — but the answers stay byte-identical (the probe pins it),
-// and heartbeats keep the slow worker from being mistaken for dead.
-// Recovery kills the laggard.
+// slowWorker: a third worker joins behind a slow link, so each of its
+// frames reaches the coordinator late. The barrier makes every
+// distributed run as slow as its slowest shard, so p99 rises — but the
+// answers stay byte-identical (the probe pins it), and heartbeats keep
+// the slow worker from being mistaken for dead. Recovery kills the
+// laggard.
 func slowWorker() Scenario {
 	return Scenario{
 		Name:        "slow-worker",
-		Description: "a worker with an injected epoch delay joins the fleet; latency degrades, correctness and liveness do not",
+		Description: "a worker behind a slow link joins the fleet; latency degrades, correctness and liveness do not",
 		Fast:        false,
 		Seed:        62,
 		Workers:     2,
@@ -137,7 +143,7 @@ func slowWorker() Scenario {
 		Mix:         Mix{Cold: 2, Distributed: 3},
 		Probe:       true,
 		Inject: func(ctx context.Context, c *Cluster) error {
-			if err := c.StartWorker(ctx, "laggard", "-fault-epoch-delay", "40ms"); err != nil {
+			if err := c.StartWorker(ctx, "laggard", 20*time.Millisecond); err != nil {
 				return err
 			}
 			return c.WaitFleet(ctx, 3, 10*time.Second)
@@ -190,11 +196,14 @@ func coordinatorRestart() Scenario {
 	}
 }
 
-// queueFull: a deliberately tiny job queue over a slowed backend, flooded
-// with submissions. Beyond the backlog bound every submit must answer 429
-// with a stats-derived Retry-After (a 429 without one is the distinct,
-// never-tolerated class "429_no_retry_after"); once the flood stops the
-// queue drains and service recovers without a restart.
+// queueFull: a deliberately tiny job queue over a slow backend, flooded
+// with submissions. The backend is one worker behind a 75ms link, and
+// every job is a distributed island run on it: a job's epoch frame and
+// report each cross the link, so one job takes about 150ms. Beyond the
+// backlog bound every submit must answer 429 with a stats-derived
+// Retry-After (a 429 without one is the distinct, never-tolerated class
+// "429_no_retry_after"); once the flood stops the queue drains and
+// service recovers without a restart.
 func queueFull() Scenario {
 	healthy := func(ctx context.Context, c *Cluster) bool {
 		m, err := c.Metrics()
@@ -205,8 +214,10 @@ func queueFull() Scenario {
 		Description: "flood a bounded job queue over a slow backend; 429s carry stats-derived Retry-After and the queue drains after the flood",
 		Fast:        true,
 		Seed:        64,
-		Workers:     0,
-		ServeArgs:   []string{"-max-concurrent", "1", "-job-queue", "2", "-fault-compute-delay", "150ms"},
+		Workers:     1,
+		WorkerLink:  75 * time.Millisecond,
+		ServeArgs:   []string{"-max-concurrent", "1", "-job-queue", "2"},
+		WorkerArgs:  fastWorkerArgs,
 		RPS:         10,
 		// A slice of the job traffic watches its submissions over SSE
 		// instead of polling, so the flood also proves the push path keeps
@@ -215,7 +226,7 @@ func queueFull() Scenario {
 		Healthy: healthy,
 		Phases: []Phase{
 			{Name: "warmup", Duration: 2 * time.Second, RPS: 4, Expected: []string{"429"}, SLO: SLO{MaxErrorRate: 0, MinRequests: 5}},
-			// The flood: submissions far outrun one 150ms-per-job worker.
+			// The flood: submissions far outrun one 150ms-per-job backend.
 			// Rejections are expected; job timeouts are not, and the
 			// synchronous path must stay responsive.
 			{Name: "inject", Duration: 3 * time.Second, RPS: 40, Expected: []string{"429"}, SLO: SLO{MaxErrorRate: 0.02, MinRequests: 40}},
@@ -254,6 +265,7 @@ func oversizeFlood() Scenario {
 // SIGKILLed: the affected run retries within its lease (or re-queues),
 // and the probe pins that every answer stays byte-identical through it.
 func concurrentRuns() Scenario {
+	const concurrentLink = 12 * time.Millisecond
 	return Scenario{
 		Name:        "concurrent-runs",
 		Description: "mixed-K distributed traffic on 4 workers; the scheduler overlaps runs on disjoint leases and a mid-phase worker kill costs latency, not answers",
@@ -261,10 +273,12 @@ func concurrentRuns() Scenario {
 		Seed:        66,
 		Workers:     4,
 		ServeArgs:   []string{"-cache", "-1", "-heartbeat-timeout", "1s"},
-		// The epoch delay keeps each distributed run in flight for
-		// ~50ms; at 40 rps the arrival interval is 25ms, so overlapping
-		// K=2 runs are the norm, not a lucky race.
-		WorkerArgs: append([]string{"-fault-epoch-delay", "25ms"}, fastWorkerArgs...),
+		// The slow links keep each distributed run in flight for ~40ms
+		// (two epoch frames and a report, 12ms late each); at 40 rps the
+		// arrival interval is 25ms, so overlapping K=2 runs are the norm,
+		// not a lucky race.
+		WorkerLink: concurrentLink,
+		WorkerArgs: fastWorkerArgs,
 		RPS:        40,
 		Mix:        Mix{Cold: 1, Distributed: 4},
 		Probe:      true,
@@ -272,7 +286,7 @@ func concurrentRuns() Scenario {
 			return c.KillWorker("w3")
 		},
 		Recover: func(ctx context.Context, c *Cluster) error {
-			return c.StartWorker(ctx, "w3b")
+			return c.StartWorker(ctx, "w3b", concurrentLink)
 		},
 		Verify: func(ctx context.Context, c *Cluster) error {
 			m, err := c.Metrics()

@@ -70,25 +70,6 @@ func (g *Graph) LongestPathToSink() ([]int, error) {
 	return dist, nil
 }
 
-// LongestPathFromSource returns, for every vertex, the maximum number of
-// edges on any directed path from a source to the vertex. Sources have
-// value 0. It returns ErrCyclic on cyclic input.
-func (g *Graph) LongestPathFromSource() ([]int, error) {
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	dist := make([]int, g.N())
-	for _, v := range order {
-		for _, w := range g.Succ(v) {
-			if dist[v]+1 > dist[w] {
-				dist[w] = dist[v] + 1
-			}
-		}
-	}
-	return dist, nil
-}
-
 // WeaklyConnectedComponents returns the vertex sets of the weakly connected
 // components (treating edges as undirected), each sorted ascending, in order
 // of their smallest vertex.
@@ -155,14 +136,6 @@ func (g *Graph) ReachableFrom(v int) []bool {
 		}
 	}
 	return seen
-}
-
-// HasPath reports whether a directed path from u to v exists.
-func (g *Graph) HasPath(u, v int) bool {
-	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
-		return false
-	}
-	return g.ReachableFrom(u)[v]
 }
 
 // TransitiveReduction returns a copy of the graph with every edge (u, v)

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -315,11 +314,4 @@ func pairError(line []byte) error {
 	var a, b int
 	_, err := fmt.Sscanf(string(line), "%d %d", &a, &b)
 	return err
-}
-
-// SortedNames returns the node names sorted; useful for deterministic tests.
-func (n *Named) SortedNames() []string {
-	out := append([]string(nil), n.Names...)
-	sort.Strings(out)
-	return out
 }

@@ -386,9 +386,8 @@ func TestNamedVertexReuse(t *testing.T) {
 	if b == a1 {
 		t.Fatal("distinct names share a vertex")
 	}
-	names := n.SortedNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("SortedNames = %v", names)
+	if len(n.Names) != 2 || n.Names[a1] != "a" || n.Names[b] != "b" {
+		t.Fatalf("Names = %v", n.Names)
 	}
 }
 

@@ -53,19 +53,6 @@ func HeuristicAblation(opts Options) ([]AblationResult, error) {
 	})
 }
 
-// ToursAblation scans the tour budget to show convergence of the search.
-func ToursAblation(opts Options, tours []int) ([]AblationResult, error) {
-	var variants []AblationVariant
-	for _, t := range tours {
-		t := t
-		variants = append(variants, AblationVariant{
-			Name:   fmt.Sprintf("tours=%d", t),
-			Mutate: func(p *core.Params) { p.Tours = t },
-		})
-	}
-	return RunAblation(opts, variants)
-}
-
 // RunAblation evaluates each variant of the colony over the corpus sample
 // and returns per-variant means across all graphs.
 func RunAblation(opts Options, variants []AblationVariant) ([]AblationResult, error) {

@@ -84,16 +84,3 @@ func (r *Results) Figure(n int) ([2]stats.Figure, error) {
 	}
 	return out, nil
 }
-
-// AllFigures returns figures 4..9 in order.
-func (r *Results) AllFigures() ([][2]stats.Figure, error) {
-	var out [][2]stats.Figure
-	for n := 4; n <= 9; n++ {
-		f, err := r.Figure(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}

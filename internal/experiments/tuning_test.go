@@ -111,11 +111,4 @@ func TestAblations(t *testing.T) {
 	if !strings.Contains(buf.String(), "variant") {
 		t.Fatal("ablation table header missing")
 	}
-	tours, err := ToursAblation(opts, []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tours) != 2 {
-		t.Fatalf("tour variants = %d", len(tours))
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 )
 
 // bulkBody builds an ndjson request body from (query, graph) pairs.
@@ -134,15 +133,12 @@ func TestBulkEnvelopeMode(t *testing.T) {
 // through the same admission machinery as POST /jobs — an error line
 // carrying the Retry-After hint, not a silently dropped request.
 func TestBulkQueueFullRejection(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		MaxConcurrent: 1, JobQueueDepth: 1,
-		FaultComputeDelay: 300 * time.Millisecond,
-	})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, JobQueueDepth: 1})
 	var reqs [][2]string
 	for i := 0; i < 6; i++ {
 		// Distinct seeds: identical lines would coalesce on the flight
 		// group and never occupy extra queue slots.
-		reqs = append(reqs, [2]string{fmt.Sprintf("seed=%d&tours=2", 100+i), demoDOT})
+		reqs = append(reqs, [2]string{fmt.Sprintf("%s&seed=%d", slowQuery, 100+i), slowGraph})
 	}
 	resp, lines := postBulk(t, ts, "envelope=true", bulkBody(reqs...))
 	if resp.StatusCode != http.StatusOK {

@@ -10,18 +10,20 @@ import (
 	"testing"
 	"time"
 
+	"antlayer/internal/chaos"
 	"antlayer/internal/shard"
 )
 
 // testCluster starts a coordinator plus n in-process workers on loopback
 // and tears them down with the test.
 func testCluster(t *testing.T, n int) *shard.Coordinator {
-	return testClusterCfg(t, n, shard.CoordinatorConfig{}, nil)
+	return testClusterCfg(t, n, shard.CoordinatorConfig{}, 0)
 }
 
-// testClusterCfg is testCluster with explicit coordinator and per-worker
-// fault configuration (fault nil = healthy workers).
-func testClusterCfg(t *testing.T, n int, cfg shard.CoordinatorConfig, fault *shard.FaultPlan) *shard.Coordinator {
+// testClusterCfg is testCluster with an explicit coordinator config and,
+// when link is positive, a slow fleet: the workers dial through a
+// chaos.Relay that delays every frame they send by link.
+func testClusterCfg(t *testing.T, n int, cfg shard.CoordinatorConfig, link time.Duration) *shard.Coordinator {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -32,8 +34,16 @@ func testClusterCfg(t *testing.T, n int, cfg shard.CoordinatorConfig, fault *sha
 	}
 	go func() { _ = coord.Serve(ctx, ln) }()
 	addr := ln.Addr().String()
+	if link > 0 {
+		r, err := chaos.StartRelay(addr, link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		addr = r.Addr()
+	}
 	for i := 0; i < n; i++ {
-		w := shard.NewWorker(shard.WorkerConfig{Name: fmt.Sprintf("tw%d", i), Fault: fault})
+		w := shard.NewWorker(shard.WorkerConfig{Name: fmt.Sprintf("tw%d", i)})
 		go func() { _ = w.Run(ctx, addr) }()
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -180,8 +190,8 @@ func TestClusterEndpoint(t *testing.T) {
 
 // TestLayerDistributedConcurrentByteIdentical is the tentpole at the
 // HTTP layer: two different K=2 distributed requests on a 4-worker fleet
-// run at the same time (the fault delay keeps each run in flight long
-// enough that the scheduler must overlap them), and each body is
+// run at the same time (a slow link keeps each run in flight long enough
+// that the scheduler must overlap them), and each body is
 // byte-identical to its in-process twin. The daemon has a single compute
 // slot, which distributed runs never take.
 func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
@@ -199,7 +209,7 @@ func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
 		_, want[i] = postLayer(t, plainTS, q, demoDOT)
 	}
 
-	coord := testClusterCfg(t, 4, shard.CoordinatorConfig{}, &shard.FaultPlan{EpochDelay: 15 * time.Millisecond})
+	coord := testClusterCfg(t, 4, shard.CoordinatorConfig{}, 15*time.Millisecond)
 	// One compute slot: distributed runs on a live fleet take none, so the
 	// scheduler still sees both runs at once.
 	_, ts := newTestServer(t, Config{CacheSize: -1, WarmCacheBytes: -1, MaxConcurrent: 1, Coordinator: coord})
@@ -238,9 +248,7 @@ func TestLayerDistributedConcurrentByteIdentical(t *testing.T) {
 // it must not silently fall back in-process (the cluster being saturated
 // is not the same as the cluster being absent).
 func TestLayerRunQueueFull429(t *testing.T) {
-	coord := testClusterCfg(t, 1,
-		shard.CoordinatorConfig{QueueDepth: -1},
-		&shard.FaultPlan{EpochDelay: 50 * time.Millisecond})
+	coord := testClusterCfg(t, 1, shard.CoordinatorConfig{QueueDepth: -1}, 50*time.Millisecond)
 	_, ts := newTestServer(t, Config{CacheSize: -1, Coordinator: coord})
 
 	first := make(chan []byte, 1)

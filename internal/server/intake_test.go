@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -98,6 +99,10 @@ func TestIntakeParity(t *testing.T) {
 		{"island colony", "algo=island&ants=0", demoDOT, http.StatusBadRequest, `bad request: query parameter ants="0": must be >= 1`},
 		{"negative cg width", "algo=cg&cg-width=-1", demoDOT, http.StatusBadRequest,
 			`bad request: query parameter cg-width="-1": must be >= 1, or 0 for the default 4`},
+		// Two spellings of one knob in one query would parse to either
+		// value, run to run, under two cache keys.
+		{"both stall spellings", "stall-tours=3&stop-stagnant=4", demoDOT, http.StatusBadRequest,
+			`bad request: query parameters stall-tours and stop-stagnant set one knob: send one of them`},
 	}
 	for _, c := range cases {
 		lresp, lbody := postRaw(t, ts, "/layer", c.query, c.graph)
@@ -199,7 +204,7 @@ func TestRequestKeysGolden(t *testing.T) {
 			"2d68e8fef0a1631eefeb48931eb88dfa259b3605980ce654d7b5450b046e03fb",
 			"e394dff5efefd24f57ae4cd5cc5a15efcdcb0efd5d21ac5ab74f4e8613a04ea5"},
 		{"aco knobs", "alpha=1.5&beta=2.5&stall-tours=3&width-bound=7.5&dummy-width=0.5&cg-width=3&promote=true&render=ascii&seed=-9", demoDOT,
-			"b146086861bcce2f10d7726ae891735a86d48ae85d2427044f76908c389e904a",
+			"c75d11325a6200fc48c6a926d67748e58c30f5266b195cff2d17d0b8ecb55e12",
 			"5aa3350d1b2e9124012afb02b04031ccf76c250d404fea86cf89cf20ff468a87"},
 	}
 	for _, c := range cases {
@@ -218,8 +223,9 @@ func TestRequestKeysGolden(t *testing.T) {
 
 // TestKeysIgnoreUnreadKnobs: a knob the chosen algorithm does not read
 // changes no body, so it changes no key either. The colony parameters
-// are ignored by the algorithms without a colony, and cg reads cg-width 0
-// as its default 4: each pair is served one body from one cache entry.
+// are ignored by the algorithms without a colony, cg-width by every
+// algorithm but cg, and cg reads cg-width 0 as its default 4: each pair
+// is served one body from one cache entry.
 func TestKeysIgnoreUnreadKnobs(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pairs := [][2]string{
@@ -227,7 +233,11 @@ func TestKeysIgnoreUnreadKnobs(t *testing.T) {
 		{"algo=ns", "algo=ns&tours=3&ants=2"},
 		{"algo=minwidth", "algo=minwidth&beta=2"},
 		{"algo=cg", "algo=cg&cg-width=0"},
+		{"seed=5", "seed=5&cg-width=3"},
+		{"algo=island", "algo=island&cg-width=3"},
+		{"algo=lpl", "algo=lpl&cg-width=3"},
 	}
+	bodies := map[string]bool{}
 	for _, p := range pairs {
 		first, body := postRaw(t, ts, "/layer", p[0], demoDOT)
 		second, again := postRaw(t, ts, "/layer", p[1], demoDOT)
@@ -240,9 +250,10 @@ func TestKeysIgnoreUnreadKnobs(t *testing.T) {
 		if got := second.Header.Get("X-Cache"); got != "hit" || !bytes.Equal(body, again) {
 			t.Errorf("%s: second answer X-Cache %q, same body %t", p, got, bytes.Equal(body, again))
 		}
+		bodies[p[0]] = true
 	}
-	if got := s.Metrics().CacheEntries; got != len(pairs) {
-		t.Errorf("cache_entries = %d for %d bodies", got, len(pairs))
+	if got := s.Metrics().CacheEntries; got != len(bodies) {
+		t.Errorf("cache_entries = %d for %d bodies", got, len(bodies))
 	}
 }
 
@@ -357,7 +368,7 @@ func TestTimeoutSaturates(t *testing.T) {
 
 // FuzzParseRequest: whatever the query, ParseRequest either refuses it
 // or returns a request inside the documented bounds, a finite dummy width
-// >= 0 among them.
+// >= 0 among them, and parsing it again gives the same answer.
 func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -386,6 +397,13 @@ func FuzzParseRequest(f *testing.F) {
 			return
 		}
 		req, err := ParseRequest(q)
+		again, errAgain := ParseRequest(q)
+		// Printed, not compared: a NaN knob the colony accepts would
+		// differ from itself.
+		first, second := fmt.Sprintf("%+v %v", req, err), fmt.Sprintf("%+v %v", again, errAgain)
+		if first != second {
+			t.Fatalf("%q parsed twice: %s, then %s", raw, first, second)
+		}
 		if err != nil {
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/big"
 	"net/url"
@@ -101,12 +102,17 @@ func (req Request) colonies() int {
 // Unknown parameters are rejected so that typos ("tuors=100") fail loudly
 // instead of silently running with defaults, and so are parameters the
 // chosen algorithm would refuse: the colony's for aco and island, a
-// negative cg-width for cg.
+// negative cg-width for cg. The parameters are read in name order, so one
+// query always parses to one Request or one error; stall-tours and its
+// older spelling stop-stagnant name one knob, and a query may send one.
 func ParseRequest(q url.Values) (Request, error) {
 	req := DefaultRequest()
+	if q.Has("stall-tours") && q.Has("stop-stagnant") {
+		return req, fmt.Errorf("query parameters stall-tours and stop-stagnant set one knob: send one of them")
+	}
 	var err error
-	stallKey := "stall-tours"
-	for key, vals := range q {
+	for _, key := range slices.Sorted(maps.Keys(q)) {
+		vals := q[key]
 		v := vals[len(vals)-1]
 		switch key {
 		case "format":
@@ -133,9 +139,8 @@ func ParseRequest(q url.Values) (Request, error) {
 			req.ACO.Seed, err = strconv.ParseInt(v, 10, 64)
 		case "workers":
 			req.ACO.Workers, err = strconv.Atoi(v)
-		case "stop-stagnant", "stall-tours": // two names, one knob
+		case "stall-tours", "stop-stagnant":
 			req.ACO.StopAfterStagnantTours, err = strconv.Atoi(v)
-			stallKey = key
 		case "width-bound":
 			req.ACO.WidthBound, err = strconv.ParseFloat(v, 64)
 		case "islands":
@@ -227,8 +232,8 @@ func ParseRequest(q url.Values) (Request, error) {
 	var fe *core.FieldError
 	if errors.As(err, &fe) && colonyKeys[fe.Field] != "" {
 		key := colonyKeys[fe.Field]
-		if key == "stall-tours" {
-			key = stallKey
+		if key == "stall-tours" && q.Has("stop-stagnant") {
+			key = "stop-stagnant"
 		}
 		err = badParam(q, key, fe.Rule)
 	}
@@ -338,12 +343,14 @@ func requestKey(req Request, gk string) string {
 // The island knobs are resolved (defaults applied) for algo=island, so
 // ?algo=island and ?algo=island&islands=4&migration-interval=2 share one
 // entry, and zeroed for every other algorithm. The algorithms without a
-// colony hash the default colony parameters at the request's dummy width,
-// and cg hashes cg-width 0 as the 4 it means. Of the fields outside
-// Options, requestKey hashes Algo, Promote and Render: the others choose
-// how the graph is read (Format) or how and when the answer is computed,
-// not what it is.
+// colony hash the default colony parameters at the request's dummy width.
+// Only cg reads cg-width: the others hash the default 4, and cg hashes
+// cg-width 0 as the 4 it means. Of the fields outside Options,
+// requestKey hashes Algo, Promote and Render: the others choose how the
+// graph is read (Format) or how and when the answer is computed, not
+// what it is.
 func (req Request) keyed() Request {
+	def := DefaultRequest()
 	req.ACO.Workers, req.ACO.Warm, req.ACO.ExportState = 0, nil, false
 	ip := req.IslandOf()
 	req.Islands, req.MigrationInterval = 0, 0
@@ -352,12 +359,11 @@ func (req Request) keyed() Request {
 		req.Islands, req.MigrationInterval = ip.Islands, ip.MigrationInterval
 	case "aco":
 	default:
-		def := DefaultRequest()
 		req.ACO = def.ACO
 		req.ACO.DummyWidth = req.DummyWidth
-		if req.Algo == "cg" && req.CGWidth == 0 {
-			req.CGWidth = def.CGWidth
-		}
+	}
+	if req.Algo != "cg" || req.CGWidth == 0 {
+		req.CGWidth = def.CGWidth
 	}
 	return req
 }

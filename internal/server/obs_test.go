@@ -329,9 +329,9 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 // never runs the closure that finishes its trace, so the cancel must;
 // a live trace would keep growing and rank as the slowest in /traces.
 func TestCancelledQueuedJobTraceFinished(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultComputeDelay: 300 * time.Millisecond})
-	_, running := postJob(t, ts, "seed=1", demoDOT)
-	resp, queued := postJob(t, ts, "seed=2", demoDOT)
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	_, running := postJob(t, ts, slowQuery+"&seed=1", slowGraph)
+	resp, queued := postJob(t, ts, slowQuery+"&seed=2", slowGraph)
 	if r := deleteJob(t, ts, queued.ID); r.Header.Get("X-Job-State") != "failed" {
 		t.Fatalf("cancelled queued job answered state %q", r.Header.Get("X-Job-State"))
 	}

@@ -70,8 +70,10 @@ func TestRoutes(t *testing.T) {
 // connection is answered — the firehose, and a job that is still
 // running, would otherwise hold the connection for as long as they last.
 func TestHeadEventStreams(t *testing.T) {
-	_, ts := newTestServer(t, Config{FaultComputeDelay: time.Hour})
-	_, job := postJob(t, ts, "seed=5", demoDOT)
+	_, ts := newTestServer(t, Config{})
+	// A slow job's budget, raised so it runs until the deferred cancel.
+	_, job := postJob(t, ts, "format=edges&tours=1000000&ants=8&seed=5", slowGraph)
+	defer deleteJob(t, ts, job.ID)
 	for _, path := range []string{"/events", "/jobs/" + job.ID + "/events"} {
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 		if err != nil {

@@ -102,12 +102,6 @@ type Config struct {
 	// event streams, keeping proxies from reaping the connection.
 	// Default 15s.
 	SSEHeartbeat time.Duration
-	// FaultComputeDelay is a test-only fault hook: every computation (a
-	// /layer miss or a job picked up by a worker) sleeps this long before
-	// running the colony. The chaos harness uses it to make latency and
-	// queue pressure reproducible — a deterministic "slow backend" —
-	// without touching the algorithms. Leave zero in production.
-	FaultComputeDelay time.Duration
 	// TraceRing bounds how many recent request traces GET /traces can
 	// reconstruct; TraceSlowest is the slowest-N retention list that
 	// survives ring churn. 0 means the defaults (256 / 32); negative
@@ -482,18 +476,6 @@ func (s *Server) computeCached(ctx context.Context, c *call) (body []byte, sourc
 			}
 		}
 		s.metrics.inFlight.Add(1)
-		if d := s.cfg.FaultComputeDelay; d > 0 {
-			// Injected latency (chaos testing only); honours the deadline
-			// like any real computation would.
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				s.metrics.inFlight.Add(-1)
-				release()
-				s.flights.finish(key, fl, nil, ctx.Err())
-				return nil, "", "computing", ctx.Err()
-			}
-		}
 		computeStart := tr.Since()
 		body, toursRun, state, err := compute(ctx, c.req, c.g, c.names, runIsland, true)
 		tr.Observe("compute", "", 0, computeStart, tr.Since()-computeStart)

@@ -33,6 +33,13 @@ func bigEdgeList(n int) string {
 	return b.String()
 }
 
+// slowQuery on slowGraph is a request slow by its own parameters: about
+// 90ms of colony work, about 1s under -race. Tests that need a busy
+// compute slot or a job that is still running submit it with a seed.
+const slowQuery = "format=edges&tours=200&ants=8"
+
+var slowGraph = bigEdgeList(200)
+
 // newTestServer starts a Server built from cfg on a loopback listener
 // and closes both when the test ends.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -242,7 +249,7 @@ func TestLayerConcurrentUnderSemaphore(t *testing.T) {
 // compute slots, so with MaxConcurrent 1 a /layer miss and a job
 // submitted together take turns — the in-flight gauge never reads 2.
 func TestSlotPoolSharedByLayerAndJobs(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultComputeDelay: 150 * time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	var peak int64
 	stop, sampled := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -259,7 +266,7 @@ func TestSlotPoolSharedByLayerAndJobs(t *testing.T) {
 
 	layerCode := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/layer?seed=1&tours=2", "text/plain", strings.NewReader(demoDOT))
+		resp, err := http.Post(ts.URL+"/layer?"+slowQuery+"&seed=1", "text/plain", strings.NewReader(slowGraph))
 		if err != nil {
 			t.Error(err)
 			layerCode <- 0
@@ -268,7 +275,7 @@ func TestSlotPoolSharedByLayerAndJobs(t *testing.T) {
 		resp.Body.Close()
 		layerCode <- resp.StatusCode
 	}()
-	_, status := postJob(t, ts, "seed=2&tours=2", demoDOT)
+	_, status := postJob(t, ts, slowQuery+"&seed=2", slowGraph)
 	final, view := pollUntilTerminal(t, ts, status.ID)
 	if code := <-layerCode; code != http.StatusOK {
 		t.Errorf("/layer answered %d", code)

@@ -82,8 +82,8 @@ func readFrames(t *testing.T, br *bufio.Reader, max int) (frames []sseFrame, com
 // reconnects with Last-Event-ID observes every state transition exactly
 // once, in order — nothing lost in the gap, nothing replayed twice.
 func TestSSEJobStreamExactlyOnceAcrossReconnect(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultComputeDelay: 300 * time.Millisecond})
-	_, status := postJob(t, ts, "seed=1&tours=2", demoDOT)
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	_, status := postJob(t, ts, slowQuery+"&seed=1", slowGraph)
 
 	// First connection: read exactly one frame (the queued event, possibly
 	// already running), then kill the connection mid-lifecycle.

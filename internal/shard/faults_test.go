@@ -13,37 +13,19 @@ import (
 	"antlayer/internal/island"
 )
 
-// faultCluster starts a coordinator plus a mix of healthy and faulty
-// workers on loopback. Faulty workers run WITHOUT a reconnect loop, so a
-// fired Die* fault removes them from the fleet for good — the shape of a
-// crashed process.
-func faultCluster(t *testing.T, cfg CoordinatorConfig, healthy int, faults []*FaultPlan) (*Coordinator, context.CancelFunc) {
+// faultCluster starts a coordinator plus a mix of healthy workers and
+// workers behind fault links on loopback. Faulty workers run WITHOUT a
+// reconnect loop, so a link that kills their connection removes them
+// from the fleet for good — the shape of a crashed process.
+func faultCluster(t *testing.T, cfg CoordinatorConfig, healthy int, faults []*faultLink) (*Coordinator, context.CancelFunc) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	c := NewCoordinator(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = c.Serve(ctx, ln) }()
-	addr := ln.Addr().String()
-	for i, f := range faults {
-		w := NewWorker(WorkerConfig{Name: fmt.Sprintf("faulty%d", i), Fault: f})
-		go func() { _ = w.Run(ctx, addr) }()
+	c, addr, ctx, cancel := startCoordinator(t, cfg)
+	for i, l := range faults {
+		startWorker(ctx, l.start(t, ctx, addr), WorkerConfig{Name: fmt.Sprintf("faulty%d", i)}, false)
 		waitWorkers(t, c, i+1)
 	}
 	for i := 0; i < healthy; i++ {
-		w := NewWorker(WorkerConfig{Name: fmt.Sprintf("healthy%d", i)})
-		go func() {
-			for ctx.Err() == nil {
-				_ = w.Run(ctx, addr)
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(10 * time.Millisecond):
-				}
-			}
-		}()
+		startWorker(ctx, addr, WorkerConfig{Name: fmt.Sprintf("healthy%d", i)}, true)
 		waitWorkers(t, c, len(faults)+i+1)
 	}
 	return c, cancel
@@ -85,7 +67,7 @@ func runExpectingRetry(t *testing.T, c *Coordinator, wantErrors int64) {
 // epoch-2 barrier; the coordinator must expel it mid-run and the retry on
 // the survivor must stay byte-identical.
 func TestWorkerDiesMidEpoch(t *testing.T) {
-	c, cancel := faultCluster(t, CoordinatorConfig{}, 1, []*FaultPlan{{DieAtEpoch: 2}})
+	c, cancel := faultCluster(t, CoordinatorConfig{}, 1, []*faultLink{{dieAtEpoch: 2}})
 	defer cancel()
 	runExpectingRetry(t, c, 1)
 }
@@ -95,7 +77,7 @@ func TestWorkerDiesMidEpoch(t *testing.T) {
 // then dies before the next barrier. The run must be retried on the
 // survivor, byte-identically.
 func TestWorkerDiesBetweenMigrateAndFinish(t *testing.T) {
-	c, cancel := faultCluster(t, CoordinatorConfig{}, 1, []*FaultPlan{{DieAfterMigrate: 1}})
+	c, cancel := faultCluster(t, CoordinatorConfig{}, 1, []*faultLink{{dieAfterMigrate: 1}})
 	defer cancel()
 	runExpectingRetry(t, c, 1)
 }
@@ -106,7 +88,7 @@ func TestWorkerDiesBetweenMigrateAndFinish(t *testing.T) {
 // still produces the byte-identical result.
 func TestTwoWorkersDieSameEpoch(t *testing.T) {
 	c, cancel := faultCluster(t, CoordinatorConfig{}, 1,
-		[]*FaultPlan{{DieAtEpoch: 2}, {DieAtEpoch: 2}})
+		[]*faultLink{{dieAtEpoch: 2}, {dieAtEpoch: 2}})
 	defer cancel()
 	// Attempt 1: both doomed workers die at epoch 2 → first failure
 	// aborts, expels one. Attempt 2: the other doomed worker dies again
@@ -134,12 +116,12 @@ func TestTwoWorkersDieSameEpoch(t *testing.T) {
 	}
 }
 
-// TestSlowWorkerStillCorrect: an EpochDelay-injected slow worker drags
-// the barrier but never corrupts it; the per-shard epoch latency metrics
-// must show the drag.
+// TestSlowWorkerStillCorrect: a worker whose epoch frames arrive late
+// drags the barrier but never corrupts it; the per-shard epoch latency
+// metrics must show the drag.
 func TestSlowWorkerStillCorrect(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	c, cancel := faultCluster(t, CoordinatorConfig{}, 1, []*FaultPlan{{EpochDelay: delay}})
+	c, cancel := faultCluster(t, CoordinatorConfig{}, 1, []*faultLink{{holdEpoch: delay}})
 	defer cancel()
 	g := testGraph(t, 50, 11)
 	p := faultParams()
@@ -380,13 +362,15 @@ func TestWorkerTakesCoordinatorCadence(t *testing.T) {
 }
 
 // TestHeartbeatsFlowDuringLongEpochs: a worker stuck in a slow epoch
-// (EpochDelay beyond the liveness timeout) must NOT be expelled — the
-// background heartbeat, at the 40ms cadence the welcome names, keeps
-// satisfying the reader's deadline, distinguishing slow from dead.
+// (its epoch frames held past the liveness timeout) must NOT be
+// expelled — the background heartbeat, at the 40ms cadence the welcome
+// names, keeps satisfying the reader's deadline, distinguishing slow
+// from dead.
 func TestHeartbeatsFlowDuringLongEpochs(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{HeartbeatTimeout: 200 * time.Millisecond})
 	defer cancel()
-	startWorker(ctx, addr, WorkerConfig{Name: "slowpoke", Fault: &FaultPlan{EpochDelay: 500 * time.Millisecond}}, false)
+	slow := (&faultLink{holdEpoch: 500 * time.Millisecond}).start(t, ctx, addr)
+	startWorker(ctx, slow, WorkerConfig{Name: "slowpoke"}, false)
 	waitWorkers(t, c, 1)
 
 	g := testGraph(t, 30, 5)

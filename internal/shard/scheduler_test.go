@@ -15,7 +15,7 @@ import (
 
 // startCoordinator brings up a coordinator on loopback with the given
 // config; workers are started by the caller (see startWorker), so tests
-// control registration order, fault plans, and reconnect behaviour.
+// control registration order, fault links, and reconnect behaviour.
 func startCoordinator(t *testing.T, cfg CoordinatorConfig) (*Coordinator, string, context.Context, context.CancelFunc) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -115,17 +115,15 @@ func TestConcurrentRunsByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentRunsOverlap pins that the scheduler actually runs two
-// runs at once (not merely interleaves them): with every epoch slowed by
-// a fault delay, two K=2 runs on a 4-worker fleet must both hold leases
+// runs at once (not merely interleaves them): with every epoch frame held
+// on the wire, two K=2 runs on a 4-worker fleet must both hold leases
 // simultaneously — the concurrent-run high-water mark reaches 2.
 func TestConcurrentRunsOverlap(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{})
 	defer cancel()
+	slow := (&faultLink{holdEpoch: 20 * time.Millisecond}).start(t, ctx, addr)
 	for i := 0; i < 4; i++ {
-		startWorker(ctx, addr, WorkerConfig{
-			Name:  fmt.Sprintf("w%d", i),
-			Fault: &FaultPlan{EpochDelay: 20 * time.Millisecond},
-		}, true)
+		startWorker(ctx, slow, WorkerConfig{Name: fmt.Sprintf("w%d", i)}, true)
 	}
 	waitWorkers(t, c, 4)
 
@@ -172,10 +170,8 @@ func waitMetrics(t *testing.T, c *Coordinator, what string, cond func(ClusterMet
 func TestRunQueueFullRejected(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{QueueDepth: 1})
 	defer cancel()
-	startWorker(ctx, addr, WorkerConfig{
-		Name:  "slow",
-		Fault: &FaultPlan{EpochDelay: 30 * time.Millisecond},
-	}, true)
+	slow := (&faultLink{holdEpoch: 30 * time.Millisecond}).start(t, ctx, addr)
+	startWorker(ctx, slow, WorkerConfig{Name: "slow"}, true)
 	waitWorkers(t, c, 1)
 
 	g := testGraph(t, 40, 9)
@@ -227,7 +223,8 @@ func TestLeaseExhaustedRequeues(t *testing.T) {
 	// Registration order fixes lease order (leases take lowest ids
 	// first): the doomed worker must be id 1 so the first dispatch
 	// leases it — and it never reconnects, exhausting the lease.
-	startWorker(ctx, addr, WorkerConfig{Name: "doomed", Fault: &FaultPlan{DieAtEpoch: 1}}, false)
+	doomed := (&faultLink{dieAtEpoch: 1}).start(t, ctx, addr)
+	startWorker(ctx, doomed, WorkerConfig{Name: "doomed"}, false)
 	waitWorkers(t, c, 1)
 	startWorker(ctx, addr, WorkerConfig{Name: "healthy"}, true)
 	waitWorkers(t, c, 2)
@@ -258,10 +255,8 @@ func TestLeaseExhaustedRequeues(t *testing.T) {
 func TestQueuedRunDispatchesOnJoin(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{})
 	defer cancel()
-	startWorker(ctx, addr, WorkerConfig{
-		Name:  "busy",
-		Fault: &FaultPlan{EpochDelay: 25 * time.Millisecond},
-	}, true)
+	slow := (&faultLink{holdEpoch: 25 * time.Millisecond}).start(t, ctx, addr)
+	startWorker(ctx, slow, WorkerConfig{Name: "busy"}, true)
 	waitWorkers(t, c, 1)
 
 	g := testGraph(t, 40, 21)
@@ -302,10 +297,8 @@ func TestQueuedRunDispatchesOnJoin(t *testing.T) {
 func TestCancelledWhileQueued(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{})
 	defer cancel()
-	startWorker(ctx, addr, WorkerConfig{
-		Name:  "busy",
-		Fault: &FaultPlan{EpochDelay: 25 * time.Millisecond},
-	}, true)
+	slow := (&faultLink{holdEpoch: 25 * time.Millisecond}).start(t, ctx, addr)
+	startWorker(ctx, slow, WorkerConfig{Name: "busy"}, true)
 	waitWorkers(t, c, 1)
 
 	g := testGraph(t, 40, 27)

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"antlayer/internal/dag"
@@ -18,25 +17,6 @@ import (
 // errAborted tags a run the coordinator told the worker to drop; the
 // worker returns to idle without reporting.
 var errAborted = errors.New("shard: run aborted by coordinator")
-
-// FaultPlan is a test-only fault-injection hook: the chaos harness (and
-// the shard failure tests) use it to make a worker misbehave at an exact,
-// reproducible point in the epoch protocol. Production workers run with a
-// nil plan. The Die* faults fire at most once per Worker, so a worker
-// restarted by a reconnect loop rejoins healthy instead of dying forever.
-type FaultPlan struct {
-	// EpochDelay sleeps this long before answering each epoch barrier —
-	// a deterministic "slow worker" that drags every epoch of every run.
-	EpochDelay time.Duration
-	// DieAtEpoch, when positive, closes the coordinator connection
-	// instead of sending that epoch's frame: death mid-epoch, while the
-	// coordinator is blocked at the barrier.
-	DieAtEpoch int
-	// DieAfterMigrate, when positive, closes the connection right after
-	// consuming the migrate frame of that epoch: death between migrate
-	// and finish, after the coordinator committed the exchange.
-	DieAfterMigrate int
-}
 
 // WorkerConfig tunes a Worker. The zero value is usable.
 type WorkerConfig struct {
@@ -51,9 +31,6 @@ type WorkerConfig struct {
 	// registration with the coordinator-assigned worker id. The reconnect
 	// backoff in `daglayer worker` resets on it.
 	OnRegister func(id int)
-	// Fault injects test-only faults; nil (always, in production) means
-	// a healthy worker.
-	Fault *FaultPlan
 	// Log receives run-lifecycle lines. Nil discards.
 	Log *slog.Logger
 }
@@ -64,8 +41,6 @@ type WorkerConfig struct {
 // a fresh island.Engine, so no state leaks between runs.
 type Worker struct {
 	cfg WorkerConfig
-	// faultFired latches the one-shot Die* faults (see FaultPlan).
-	faultFired atomic.Bool
 }
 
 // NewWorker builds a Worker (zero-value config fine).
@@ -226,7 +201,7 @@ func (w *Worker) computeRun(ctx context.Context, lc *lockedConn, run *message, t
 	if err != nil {
 		return nil, err
 	}
-	m := &netMigrator{worker: w, lc: lc, seq: run.Seq, tr: tr, name: name}
+	m := &netMigrator{lc: lc, seq: run.Seq, tr: tr, name: name}
 	if _, err := island.Drive(ctx, e, m); err != nil {
 		return nil, err
 	}
@@ -236,9 +211,8 @@ func (w *Worker) computeRun(ctx context.Context, lc *lockedConn, run *message, t
 // netMigrator is the worker-side Migrator: the epoch barrier and the
 // elite exchange live on the far side of the coordinator connection.
 type netMigrator struct {
-	worker *Worker
-	lc     *lockedConn
-	seq    uint64
+	lc  *lockedConn
+	seq uint64
 
 	// Span measurement: tr's clock starts at the run frame; last is the
 	// offset at which the previous Exchange returned, so the stretch up
@@ -248,31 +222,12 @@ type netMigrator struct {
 	last time.Duration
 }
 
-// die executes a one-shot connection-killing fault: close the socket so
-// the coordinator sees the death exactly where the plan placed it.
-func (m *netMigrator) die(where string, epoch int) error {
-	m.lc.conn.Close()
-	return fmt.Errorf("shard: fault injection: dying %s (epoch %d)", where, epoch)
-}
-
 // Exchange sends the local elites and blocks until the coordinator's
 // barrier answers — with the incoming elites (migrate), the end of the
 // run (finish), or an abort (error).
 func (m *netMigrator) Exchange(ctx context.Context, epoch int, local []island.Elite) ([]island.Elite, bool, error) {
-	if f := m.worker.cfg.Fault; f != nil {
-		if f.EpochDelay > 0 {
-			select {
-			case <-time.After(f.EpochDelay):
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		if f.DieAtEpoch == epoch && m.worker.faultFired.CompareAndSwap(false, true) {
-			return nil, false, m.die("mid-epoch", epoch)
-		}
-	}
 	// The stretch since the previous barrier answer is this epoch's
-	// compute (fault delays included — they simulate slow compute).
+	// compute.
 	now := m.tr.Since()
 	m.tr.Observe("worker_epoch", m.name, epoch, m.last, now-m.last)
 	if err := m.lc.write(&message{Type: msgEpoch, Seq: m.seq, Epoch: epoch, Elites: local}); err != nil {
@@ -291,9 +246,6 @@ func (m *netMigrator) Exchange(ctx context.Context, epoch int, local []island.El
 		}
 		switch reply.Type {
 		case msgMigrate:
-			if f := m.worker.cfg.Fault; f != nil && f.DieAfterMigrate == epoch && m.worker.faultFired.CompareAndSwap(false, true) {
-				return nil, false, m.die("after migrate", epoch)
-			}
 			m.last = m.tr.Since()
 			return reply.Elites, true, nil
 		case msgFinish:

@@ -79,26 +79,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Summary bundles the usual descriptive statistics.
-type Summary struct {
-	N            int
-	Mean, StdDev float64
-	Min, Median  float64
-	Max          float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Median: Median(xs),
-		Max:    Max(xs),
-	}
-}
-
 // Series is one named line of a figure: Y[i] is the mean value for group i.
 type Series struct {
 	Name string

@@ -56,13 +56,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || !almost(s.Mean, 2) || !almost(s.Median, 2) || s.Min != 1 || s.Max != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-}
-
 func TestMinLEMedianLEMax(t *testing.T) {
 	f := func(xs []float64) bool {
 		if len(xs) == 0 {

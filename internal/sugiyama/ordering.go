@@ -28,7 +28,7 @@ func newOrdering(l *layering.Layering) *Ordering {
 	return o
 }
 
-// scratch holds the buffers one MinimizeCrossings call reuses across its
+// scratch holds the buffers one MinimizeCrossingsWith call reuses across its
 // sweeps, crossing counts and switch pass, so that their cost is the
 // graph's size rather than the allocator's.
 type scratch struct {
@@ -110,18 +110,13 @@ const (
 	Median
 )
 
-// MinimizeCrossings runs alternating down/up barycenter sweeps on a proper
-// layering, keeping the best ordering seen, for the given number of rounds
-// (one round = one down sweep + one up sweep). It returns the crossing
-// count of the best ordering.
-func MinimizeCrossings(g *dag.Graph, l *layering.Layering, rounds int) (*Ordering, int) {
-	return MinimizeCrossingsWith(g, l, rounds, Barycenter)
-}
-
-// MinimizeCrossingsWith is MinimizeCrossings with an explicit ordering
-// method. After the sweeps a greedy-switch pass exchanges adjacent vertices
-// whenever that strictly reduces crossings, which cleans up the local
-// optima barycenter/median sweeps are known to leave behind.
+// MinimizeCrossingsWith runs alternating down/up sweeps on a proper
+// layering, reordering each layer by the given method and keeping the
+// best ordering seen, for the given number of rounds (one round = one
+// down sweep + one up sweep). After the sweeps a greedy-switch pass
+// exchanges adjacent vertices whenever that strictly reduces crossings,
+// which cleans up the local optima barycenter/median sweeps are known to
+// leave behind. It returns the best ordering and its crossing count.
 func MinimizeCrossingsWith(g *dag.Graph, l *layering.Layering, rounds int, method OrderingMethod) (*Ordering, int) {
 	var s scratch
 	o := newOrdering(l)

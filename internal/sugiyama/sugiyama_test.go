@@ -151,14 +151,14 @@ func TestMinimizeCrossingsImproves(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := newOrdering(proper.Layering).Crossings(proper.Graph, proper.Layering)
-		_, after := MinimizeCrossings(proper.Graph, proper.Layering, 4)
+		_, after := MinimizeCrossingsWith(proper.Graph, proper.Layering, 4, Barycenter)
 		if after > before {
 			worse++
 		}
 		total++
 	}
 	if worse > 0 {
-		t.Fatalf("MinimizeCrossings worsened %d/%d graphs (must keep best seen)", worse, total)
+		t.Fatalf("MinimizeCrossingsWith worsened %d/%d graphs (must keep best seen)", worse, total)
 	}
 }
 
@@ -322,5 +322,29 @@ func TestWriteASCII(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "L2") || !strings.Contains(out, "height=2") {
 		t.Fatalf("ASCII output missing layers:\n%s", out)
+	}
+}
+
+func TestNarrowLayeringSmallerArea(t *testing.T) {
+	// A corpus graph drawn end to end through the pipeline puts all the
+	// nodes of a layer on one y.
+	rng := rand.New(rand.NewSource(143))
+	g, err := graphgen.Generate(graphgen.DefaultConfig(60), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lplD, err := Run(g, DefaultConfig(LayererFunc(longestpath.Layer)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lplD.Nodes) == 0 {
+		t.Fatal("no drawing")
+	}
+	ys := map[int]float64{}
+	for _, n := range lplD.Nodes {
+		if y, ok := ys[n.Layer]; ok && y != n.Y {
+			t.Fatal("layer drawn at two y positions")
+		}
+		ys[n.Layer] = n.Y
 	}
 }
