@@ -39,7 +39,7 @@
 //
 //	daglayer serve [-addr :8645] [-cache 256] [-cache-bytes 67108864]
 //	               [-max-concurrent 0] [-timeout 30s] [-max-timeout 2m]
-//	               [-job-queue 64] [-job-retention 256] [-job-expiry 0]
+//	               [-job-queue 64] [-job-retention 256]
 //	               [-coordinator ""] [-quiet]
 //
 // -max-concurrent sizes the one pool of compute slots that every

@@ -28,7 +28,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		grace       = fs.Duration("shutdown-grace", 10*time.Second, "how long shutdown waits for in-flight requests")
 		jobQueue    = fs.Int("job-queue", 64, "async job backlog bound; POST /jobs beyond it answers 429")
 		jobRetain   = fs.Int("job-retention", 256, "finished jobs kept pollable before eviction")
-		jobExpiry   = fs.Duration("job-expiry", 0, "additionally evict finished jobs older than this (0 = count bound only)")
 		eventRing   = fs.Int("event-ring", 0, "job-event ring size; bounds how far back an SSE reconnect can resume and how far a live stream may lag before it gets a gap frame (0 = default 1024)")
 		sseHeart    = fs.Duration("sse-heartbeat", 0, "heartbeat-comment interval on idle SSE streams (0 = default 15s)")
 		coordinator = fs.String("coordinator", "", "also run a shard coordinator on this address (e.g. :8650); workers join with 'daglayer worker'")
@@ -116,7 +115,6 @@ flags:
 		ShutdownGrace:  *grace,
 		JobQueueDepth:  *jobQueue,
 		JobRetention:   *jobRetain,
-		JobExpiry:      *jobExpiry,
 		EventRing:      *eventRing,
 		SSEHeartbeat:   *sseHeart,
 		TraceRing:      *traceRing,

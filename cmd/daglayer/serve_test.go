@@ -74,7 +74,8 @@ func TestServeStartsAndShutsDownGracefully(t *testing.T) {
 // TestNoFaultFlags: the shipped binaries carry no test hooks. Neither
 // serve nor worker lists a fault flag in its -h, and one given anyway is
 // refused as undefined; chaos tests make workers slow or dead on the
-// wire instead.
+// wire instead. Nor does serve take -job-expiry: the -job-retention
+// count alone retires finished jobs.
 func TestNoFaultFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // a mode that parses its flags returns at once
@@ -83,11 +84,13 @@ func TestNoFaultFlags(t *testing.T) {
 		if err != flag.ErrHelp || !strings.Contains(usage, "-quiet") {
 			t.Fatalf("%s -h: err %v, usage %q", mode, err, usage)
 		}
-		if strings.Contains(usage, "-fault") {
-			t.Fatalf("%s -h lists a fault flag:\n%s", mode, usage)
+		if strings.Contains(usage, "-fault") || strings.Contains(usage, "-job-expiry") {
+			t.Fatalf("%s -h lists a removed flag:\n%s", mode, usage)
 		}
 	}
-	for _, args := range [][]string{{"serve", "-fault-compute-delay", "1s"}, {"worker", "-fault-epoch-delay", "1s"}} {
+	for _, args := range [][]string{
+		{"serve", "-fault-compute-delay", "1s"}, {"worker", "-fault-epoch-delay", "1s"}, {"serve", "-job-expiry", "1m"},
+	} {
 		_, err := stderrOf(t, func() error { return run(ctx, args, nil, io.Discard) })
 		if want := "flag provided but not defined: " + args[1]; err == nil || err.Error() != want {
 			t.Errorf("%v: err %v, want %q", args, err, want)

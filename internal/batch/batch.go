@@ -10,12 +10,12 @@
 // completion: a still-queued job fails immediately without ever running,
 // a running one has its context cancelled and fails when the work unwinds
 // (the ant colony's RunContext observes the context within one ant walk
-// per worker, so cancellation is prompt). Terminal jobs are retained for
-// polling, bounded by Config.Retain — the oldest terminal job is evicted
-// first, so memory stays bounded no matter how many jobs flow through —
-// and, when Config.ExpireAfter is set, by age as well (a background
-// sweep evicts terminal jobs past the TTL). List enumerates the tracked
-// jobs, optionally filtered by state.
+// per worker, so cancellation is prompt). A job ends in one place,
+// finish, which runs the job's settle action (see SubmitTraced) before
+// anyone can see it end. Terminal jobs are retained for polling, bounded
+// by Config.Retain — the oldest terminal job is evicted first, so memory
+// stays bounded no matter how many jobs flow through. List enumerates
+// the tracked jobs, optionally filtered by state.
 //
 // All methods are safe for concurrent use.
 package batch
@@ -42,9 +42,9 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Terminal reports whether a job in this state is finished (done,
-// failed, or swept as expired) and will never change state again.
-func (s State) Terminal() bool { return s == StateDone || s == StateFailed || s == StateExpired }
+// Terminal reports whether a job in this state is finished (done or
+// failed) and will never change state again.
+func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 
 // Common queue errors.
 var (
@@ -73,15 +73,8 @@ type Config struct {
 	// 0 means 64.
 	Depth int
 	// Retain bounds how many terminal (done/failed) jobs are kept for
-	// Get; the oldest is evicted first. 0 means 256; negative retains
-	// nothing.
+	// Get; the oldest is evicted first. 0 means 256.
 	Retain int
-	// ExpireAfter, when positive, additionally bounds how long a
-	// terminal job stays pollable: a background sweep evicts terminal
-	// jobs whose finish time is at least this old, so a mostly idle
-	// queue does not pin day-old results in memory waiting for the
-	// count bound. 0 disables age-based expiry.
-	ExpireAfter time.Duration
 	// EventRing bounds the event ring: how many recent job state
 	// transitions Events retains. Subscribers read only from the ring, so
 	// it bounds both how far back a Last-Event-ID resume reaches and how
@@ -96,7 +89,7 @@ func (c Config) withDefaults() Config {
 	if c.Depth == 0 {
 		c.Depth = 64
 	}
-	if c.Retain == 0 {
+	if c.Retain <= 0 {
 		c.Retain = 256
 	}
 	return c
@@ -110,6 +103,7 @@ type Job struct {
 	fn      Func
 	labels  []string // topics; immutable after Submit
 	traceID string   // request trace the job belongs to; immutable after Submit
+	settle  func()   // once-only; run by finish before the job turns terminal; nil = none
 
 	mu        sync.Mutex
 	state     State
@@ -195,9 +189,6 @@ type Stats struct {
 	Done     int64 `json:"done"`
 	Failed   int64 `json:"failed"`
 	Canceled int64 `json:"canceled"`
-	// Expired counts terminal jobs evicted by the age-based retention
-	// sweep (count-bound evictions are not included).
-	Expired int64 `json:"expired"`
 	// Depth is the backlog bound Submit enforces; Workers is the pool
 	// size draining it. Together with the Queued gauge they determine
 	// RetryAfter.
@@ -214,8 +205,6 @@ type Queue struct {
 	pending    chan *Job
 	events     *Events
 	wg         sync.WaitGroup
-	sweepStop  chan struct{} // nil when age-based expiry is off
-	sweepDone  chan struct{}
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
@@ -244,95 +233,27 @@ func New(cfg Config) *Queue {
 		q.wg.Add(1)
 		go q.worker()
 	}
-	if cfg.ExpireAfter > 0 {
-		q.sweepStop = make(chan struct{})
-		q.sweepDone = make(chan struct{})
-		go q.sweeper()
-	}
 	return q
-}
-
-// sweeper periodically evicts terminal jobs older than ExpireAfter. The
-// tick is a quarter of the TTL (clamped to [10ms, 1m]), so a job
-// overstays its retention by at most ~25%.
-func (q *Queue) sweeper() {
-	defer close(q.sweepDone)
-	tick := q.cfg.ExpireAfter / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > time.Minute {
-		tick = time.Minute
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-q.sweepStop:
-			return
-		case now := <-t.C:
-			q.expire(now)
-		}
-	}
-}
-
-// expire evicts terminal jobs whose finish time is at least ExpireAfter
-// before now, oldest first, and reports how many went. The retention
-// list is ordered by finish time (finish appends), so the scan stops at
-// the first survivor.
-func (q *Queue) expire(now time.Time) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	ttl := q.cfg.ExpireAfter
-	if ttl <= 0 {
-		return 0
-	}
-	n := 0
-	for len(q.retention) > 0 {
-		j, ok := q.jobs[q.retention[0]]
-		if !ok { // already gone (should not happen; stay robust)
-			q.retention = q.retention[1:]
-			continue
-		}
-		j.mu.Lock()
-		expired := now.Sub(j.finished) >= ttl
-		if expired {
-			// Mark and publish BEFORE removal: a List that collected this
-			// job's pointer just before the sweep snapshots StateExpired
-			// (and filters it out) instead of briefly reporting the stale
-			// done/failed state of a job that is already gone, and event
-			// subscribers learn the id was evicted rather than polling
-			// into a 404. Result/Err stay intact so a racing reader that
-			// already held the job still gets its data.
-			j.state = StateExpired
-		}
-		ev := eventOf(j, StateExpired)
-		j.mu.Unlock()
-		if !expired {
-			break
-		}
-		q.events.publish(ev)
-		delete(q.jobs, j.id)
-		q.retention = q.retention[1:]
-		q.stats.Expired++
-		n++
-	}
-	return n
 }
 
 // Submit enqueues fn and returns its job. It fails fast with ErrQueueFull
 // when the backlog is at capacity and ErrClosed after Close.
 func (q *Queue) Submit(fn Func) (*Job, error) {
-	return q.SubmitTraced(fn, "")
+	return q.SubmitTraced(fn, "", nil)
 }
 
-// SubmitTraced is Submit with a request trace ID and topic labels
-// attached to the job. The daemon passes the trace it opened for the
-// submission so the job's envelope can point back at GET /traces/{id};
-// every event the job publishes carries the labels, so a per-topic
-// subscriber (an SSE /events?topic= stream) sees it. Neither influences
-// the work or its result.
-func (q *Queue) SubmitTraced(fn Func, traceID string, labels ...string) (*Job, error) {
+// SubmitTraced is Submit with a request trace ID, a settle action and
+// topic labels attached to the job. The daemon passes the trace it opened
+// for the submission, so the job's envelope can point back at GET
+// /traces/{id}, and that trace's finish as settle. Every event the job
+// publishes carries the labels, so a per-topic subscriber (an SSE
+// /events?topic= stream) sees it. None of them influences the work or
+// its result.
+//
+// settle, when non-nil, runs exactly once however the job ends, before
+// its terminal state, event or Done shows (see finish). It runs on the
+// goroutine that ends the job and holds no lock of the queue.
+func (q *Queue) SubmitTraced(fn Func, traceID string, settle func(), labels ...string) (*Job, error) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -358,17 +279,20 @@ func (q *Queue) SubmitTraced(fn Func, traceID string, labels ...string) (*Job, e
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
+	if settle != nil {
+		j.settle = sync.OnceFunc(settle)
+	}
 	q.jobs[j.id] = j
 	q.stats.Submitted++
 	q.stats.Queued++
-	q.events.publish(eventOf(j, StateQueued))
+	q.events.publish(eventOf(j))
 	q.pending <- j // cannot block: admission was checked above
 	q.mu.Unlock()
 	return j, nil
 }
 
 // Events returns the queue's pub/sub manager: every job state transition
-// (queued, running, done, failed, expired) is published to it.
+// (queued, running, done, failed) is published to it.
 func (q *Queue) Events() *Events { return q.events }
 
 // Get returns the job with the given id, if it is still tracked (jobs
@@ -381,7 +305,7 @@ func (q *Queue) Get(id string) (*Job, bool) {
 }
 
 // List returns a snapshot of every tracked job in submission order,
-// optionally filtered by state ("" means all). Jobs evicted by either
+// optionally filtered by state ("" means all). Jobs evicted by the
 // retention bound do not appear.
 func (q *Queue) List(filter State) []Snapshot {
 	q.mu.Lock()
@@ -398,12 +322,6 @@ func (q *Queue) List(filter State) []Snapshot {
 	snaps := make([]Snapshot, 0, len(jobs))
 	for _, j := range jobs {
 		snap := j.Snapshot()
-		// A job the expiry sweep evicted between the collection above and
-		// this snapshot reports StateExpired — it is no longer tracked, so
-		// it must not be listed (with any filter) as if it still were.
-		if snap.State == StateExpired {
-			continue
-		}
 		if filter != "" && snap.State != filter {
 			continue
 		}
@@ -484,10 +402,6 @@ func (q *Queue) Close() {
 	q.mu.Unlock()
 	q.cancelBase() // aborts running jobs; queued ones fail in the drain below
 	q.wg.Wait()
-	if q.sweepStop != nil {
-		close(q.sweepStop)
-		<-q.sweepDone
-	}
 }
 
 // worker pops jobs until the pending channel drains after Close.
@@ -515,7 +429,7 @@ func (q *Queue) worker() {
 		j.started = time.Now()
 		j.cancel = cancel
 		canceled := j.canceled // Cancel may have raced Submit
-		ev := eventOf(j, StateRunning)
+		ev := eventOf(j)
 		j.mu.Unlock()
 		// The terminal event is published by finish, called below on this
 		// same goroutine, so a job's running event always precedes it.
@@ -549,14 +463,21 @@ func (q *Queue) gauge(dQueued, dRunning int64) {
 	q.mu.Unlock()
 }
 
-// finish moves a job to its terminal state, updates the counters and
-// evicts the oldest terminal job beyond the retention bound. A cancelled
-// job's own error (including a context.Canceled bubbling out of the work)
-// is normalised to ErrCanceled so callers see one cancellation shape.
+// finish is the one place a job ends: it runs the job's settle action,
+// moves the job to its terminal state, updates the counters and evicts
+// the oldest terminal job beyond the retention bound. A cancelled job's
+// own error (including a context.Canceled bubbling out of the work) is
+// normalised to ErrCanceled so callers see one cancellation shape.
 // finish is idempotent: Cancel and the worker can race to it (cancel a
 // queued job just as a worker pops it) and only the first call settles
 // the job.
 func (q *Queue) finish(j *Job, result []byte, err error) {
+	// Settle before the job can read as terminal. When Cancel and a worker
+	// race here, the loser waits inside the once-only action, so neither
+	// call lets the job end before the action has run.
+	if j.settle != nil {
+		j.settle()
+	}
 	q.mu.Lock()
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -581,7 +502,7 @@ func (q *Queue) finish(j *Job, result []byte, err error) {
 	}
 	j.finished = time.Now()
 	canceled := j.canceled
-	ev := eventOf(j, j.state)
+	ev := eventOf(j)
 	j.mu.Unlock()
 	// Publish first: a waiter woken by Done() must find the event.
 	q.events.publish(ev)
@@ -601,11 +522,7 @@ func (q *Queue) finish(j *Job, result []byte, err error) {
 		q.stats.Canceled++
 	}
 	q.retention = append(q.retention, j.id)
-	limit := q.cfg.Retain
-	if limit < 0 { // negative retains nothing
-		limit = 0
-	}
-	for len(q.retention) > limit {
+	for len(q.retention) > q.cfg.Retain {
 		delete(q.jobs, q.retention[0])
 		q.retention = q.retention[1:]
 	}

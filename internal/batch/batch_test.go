@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -346,19 +347,6 @@ func TestCancelLosingRaceToCompletion(t *testing.T) {
 	}
 }
 
-func TestNegativeRetainKeepsNothing(t *testing.T) {
-	q := New(Config{Workers: 1, Retain: -1})
-	defer q.Close()
-	j, err := q.Submit(func(context.Context) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Wait(waitCtx(t))
-	if _, ok := q.Get(j.ID()); ok {
-		t.Fatal("Retain<0 kept a terminal job")
-	}
-}
-
 // TestConcurrentChurn hammers the queue from many goroutines under the
 // race detector: submits, cancels and polls interleaving freely.
 func TestConcurrentChurn(t *testing.T) {
@@ -442,60 +430,106 @@ func TestListFilter(t *testing.T) {
 	}
 }
 
-func TestExpireEvictsOldTerminalJobs(t *testing.T) {
-	q := New(Config{Workers: 1, Depth: 8, ExpireAfter: 25 * time.Millisecond})
+// TestSettleRunsOnceBeforeEnd: finish runs a job's settle action exactly
+// once on every way a job ends — done, failed, panicked, cancelled while
+// running or queued, cancelled by Close while running, failed by Close
+// before it ran — and before the end can be seen: by the time Done
+// closes, a snapshot reads terminal or the terminal event is read, the
+// action has run.
+func TestSettleRunsOnceBeforeEnd(t *testing.T) {
+	const jobs = 8
+	var settled [jobs]atomic.Int32
+	q := New(Config{Workers: 1, Depth: jobs})
 	defer q.Close()
-	j, err := q.Submit(func(ctx context.Context) ([]byte, error) { return []byte("x"), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, StateDone)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := q.Get(j.ID()); !ok {
-			break
+	sub := q.Events().Subscribe("", "", 0)
+	defer sub.Close()
+	check := func(seenBy, id string) {
+		var seq int
+		if _, err := fmt.Sscanf(id, "j%d", &seq); err != nil || seq < 1 || seq > jobs {
+			t.Errorf("unexpected job id %q", id)
+			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("terminal job never expired")
+		if n := settled[seq-1].Load(); n != 1 {
+			t.Errorf("job %s: settle had run %d times when %s showed its end, want 1", id, n, seenBy)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if st := q.Stats(); st.Expired == 0 {
-		t.Errorf("Stats.Expired = %d, want > 0", st.Expired)
-	}
-	if got := q.List(""); len(got) != 0 {
-		t.Errorf("expired job still listed: %+v", got)
-	}
-}
 
-func TestExpireSparesLiveAndFreshJobs(t *testing.T) {
-	q := New(Config{Workers: 1, Depth: 8})
-	defer q.Close()
-	q.cfg.ExpireAfter = time.Hour // drive expire by hand
-	block := make(chan struct{})
-	running, err := q.Submit(func(ctx context.Context) ([]byte, error) {
-		<-block
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	var watchers sync.WaitGroup
+	ctx := waitCtx(t)
+	watchers.Add(1)
+	go func() {
+		defer watchers.Done()
+		for ended := 0; ; {
+			evs, _, _ := sub.Read()
+			for _, ev := range evs {
+				if ev.State.Terminal() {
+					check("the terminal event", ev.JobID)
+					ended++
+				}
+			}
+			if ended == jobs {
+				return
+			}
+			select {
+			case <-sub.Ready():
+			case <-ctx.Done():
+				t.Errorf("%d of %d terminal events read", ended, jobs)
+				return
+			}
+		}
+	}()
+	next := 0
+	submit := func(fn Func) *Job {
+		t.Helper()
+		i := next
+		next++
+		// The action dawdles before it counts, so an end that showed
+		// before the action had run would be seen with a count of 0.
+		j, err := q.SubmitTraced(fn, "", func() {
+			time.Sleep(time.Millisecond)
+			settled[i].Add(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watchers.Add(2)
+		go func() {
+			defer watchers.Done()
+			<-j.Done()
+			check("Done", j.ID())
+		}()
+		go func() {
+			defer watchers.Done()
+			for !j.Snapshot().State.Terminal() {
+				runtime.Gosched()
+			}
+			check("a snapshot", j.ID())
+		}()
+		return j
 	}
+	blocker := func(ctx context.Context) ([]byte, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+
+	running := submit(blocker)
 	waitState(t, running, StateRunning)
-	done, err := q.Submit(func(ctx context.Context) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
+	queued := submit(blocker)
+	if !q.Cancel(queued.ID()) || !q.Cancel(running.ID()) {
+		t.Fatal("a live job was not cancellable")
 	}
-	if n := q.expire(time.Now()); n != 0 {
-		t.Fatalf("expire evicted %d fresh jobs", n)
-	}
-	close(block)
-	waitState(t, running, StateDone)
-	waitState(t, done, StateDone)
-	if n := q.expire(time.Now().Add(2 * time.Hour)); n != 2 {
-		t.Fatalf("expire evicted %d jobs, want 2", n)
-	}
-	if _, ok := q.Get(running.ID()); ok {
-		t.Error("expired job still tracked")
+	submit(func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	submit(func(context.Context) ([]byte, error) { return nil, errors.New("boom") })
+	submit(func(context.Context) ([]byte, error) { panic("kaboom") })
+	waitState(t, submit(blocker), StateRunning)
+	submit(blocker)
+	submit(blocker)
+	q.Close()
+	watchers.Wait()
+	for i := range settled {
+		if n := settled[i].Load(); n != 1 {
+			t.Errorf("job %d: settle ran %d times, want 1", i+1, n)
+		}
 	}
 }
 

@@ -16,21 +16,14 @@ import (
 // order, so a watcher that reads without a gap observes queued →
 // running → done/failed exactly once, in order.
 
-// StateExpired is the pseudo-state published when the retention sweeper
-// evicts a terminal job: the job's last event, emitted before the job is
-// removed from tracking, so watchers learn the id is gone rather than
-// polling into a 404. It is also the state a swept job's Snapshot
-// reports, which is what keeps List honest mid-sweep (see expire).
-const StateExpired State = "expired"
-
 // Event is one job state transition, as published to subscribers.
 type Event struct {
 	// Seq is the queue-global monotonic sequence number; SSE clients use
 	// it as the event id and replay from it after a reconnect.
 	Seq   uint64 `json:"seq"`
 	JobID string `json:"job"`
-	// State is the state the job just entered: queued, running, done,
-	// failed, or expired.
+	// State is the state the job just entered: queued, running, done or
+	// failed.
 	State State `json:"state"`
 	// Canceled marks a failed event caused by Cancel.
 	Canceled bool `json:"canceled,omitempty"`
@@ -198,15 +191,15 @@ func (e *Events) Stats() EventStats {
 
 // eventOf renders a job's current (locked) fields as an event. Callers
 // hold j.mu or know the job is no longer mutating.
-func eventOf(j *Job, state State) Event {
+func eventOf(j *Job) Event {
 	ev := Event{
 		JobID:    j.id,
-		State:    state,
+		State:    j.state,
 		Canceled: j.canceled,
 		Labels:   j.labels,
 		Time:     time.Now(),
 	}
-	if state == StateFailed && j.err != nil {
+	if j.state == StateFailed && j.err != nil {
 		ev.Error = j.err.Error()
 	}
 	return ev

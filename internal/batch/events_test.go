@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 // collectUntilTerminal reads a subscription until it returns a
@@ -107,11 +106,11 @@ func TestEventsTopicFilter(t *testing.T) {
 	sub := q.Events().Subscribe("", "red", 0)
 	defer sub.Close()
 	fn := func(context.Context) ([]byte, error) { return nil, nil }
-	red, err := q.SubmitTraced(fn, "", "red", "hot")
+	red, err := q.SubmitTraced(fn, "", nil, "red", "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.SubmitTraced(fn, "", "blue"); err != nil {
+	if _, err := q.SubmitTraced(fn, "", nil, "blue"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Submit(fn); err != nil {
@@ -165,7 +164,7 @@ func TestEventsIdleSubscriberNeverBlocksPublish(t *testing.T) {
 func runJobs(t *testing.T, q *Queue, n int, labels ...string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		j, err := q.SubmitTraced(func(context.Context) ([]byte, error) { return nil, nil }, "", labels...)
+		j, err := q.SubmitTraced(func(context.Context) ([]byte, error) { return nil, nil }, "", nil, labels...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,56 +264,6 @@ func TestEventsRingBound(t *testing.T) {
 	}
 	if len(got) != 8 || got[0].Seq != oldest {
 		t.Fatalf("full replay returned %d events from %d", len(got), got[0].Seq)
-	}
-}
-
-// TestExpirePublishesBeforeRemoval pins the retention-race fix: a swept
-// job is marked expired and its event published before it leaves the
-// tracking map, so a List racing the sweep never reports the stale
-// done-state of a job that is already gone, and subscribers see the
-// eviction.
-func TestExpirePublishesBeforeRemoval(t *testing.T) {
-	q := New(Config{Workers: 1, ExpireAfter: time.Hour})
-	defer q.Close()
-	sub := q.Events().Subscribe("", "", 0)
-	defer sub.Close()
-	j, err := q.Submit(func(context.Context) ([]byte, error) { return []byte("r"), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	collectUntilTerminal(t, waitCtx(t), sub, j.ID())
-
-	// The mid-sweep interleaving, deterministically: List collects its
-	// job pointers (here: Get), the sweep runs, then the stale pointer is
-	// snapshotted — it must report expired, not done.
-	stale, ok := q.Get(j.ID())
-	if !ok {
-		t.Fatal("job vanished before the sweep")
-	}
-	if n := q.expire(time.Now().Add(2 * time.Hour)); n != 1 {
-		t.Fatalf("expire evicted %d jobs, want 1", n)
-	}
-	snap := stale.Snapshot()
-	if snap.State != StateExpired {
-		t.Fatalf("swept job snapshots %q, want %q", snap.State, StateExpired)
-	}
-	if string(snap.Result) != "r" {
-		t.Fatalf("sweep destroyed the result: %q", snap.Result)
-	}
-	if _, ok := q.Get(j.ID()); ok {
-		t.Fatal("swept job still tracked")
-	}
-	if l := q.List(""); len(l) != 0 {
-		t.Fatalf("List after sweep = %v, want empty", l)
-	}
-	if evs, _, _ := sub.Read(); len(evs) != 1 || evs[0].State != StateExpired || evs[0].JobID != j.ID() {
-		t.Fatalf("post-sweep events = %+v, want expired for %s", evs, j.ID())
-	}
-	if st := q.Stats(); st.Expired != 1 {
-		t.Fatalf("Stats.Expired = %d, want 1", st.Expired)
 	}
 }
 

@@ -481,7 +481,7 @@ func (g *Generator) watchJob(ctx context.Context, id string) string {
 		switch strings.TrimSpace(strings.TrimPrefix(sc.Text(), "event:")) {
 		case "done":
 			return "ok"
-		case "failed", "expired":
+		case "failed":
 			return "job_failed"
 		case "shutdown":
 			return "sse_shutdown"

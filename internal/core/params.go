@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // SelectionMode chooses how an ant picks a layer from the probabilities of
@@ -242,8 +243,21 @@ func (e *FieldError) Error() string {
 }
 
 // Validate reports the first invalid field, as a *FieldError when one
-// field alone breaks its bounds.
+// field alone breaks its bounds. Every float field must be finite before
+// its bounds are checked: NaN passes every comparison, +Inf every lower
+// bound.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Alpha", p.Alpha}, {"Beta", p.Beta}, {"Rho", p.Rho}, {"Tau0", p.Tau0}, {"Q", p.Q},
+		{"DummyWidth", p.DummyWidth}, {"Q0", p.Q0}, {"WidthBound", p.WidthBound}, {"TauMin", p.TauMin}, {"TauMax", p.TauMax},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &FieldError{f.name, "must be finite", f.v}
+		}
+	}
 	switch {
 	case p.Ants < 1:
 		return &FieldError{"Ants", "must be >= 1", p.Ants}

@@ -208,16 +208,6 @@ func (e *Engine) Step(ctx context.Context) ([]Elite, error) {
 	return elites, nil
 }
 
-// Live reports whether any local island is still running.
-func (e *Engine) Live() bool {
-	for _, d := range e.done {
-		if !d {
-			return true
-		}
-	}
-	return false
-}
-
 // Absorb deposits incoming[j] into the j-th local island. Islands that
 // already stopped receive no deposit — their matrix is dead weight — but
 // still occupy their slot so positions line up. An empty slice (no

@@ -260,9 +260,6 @@ func TestAbsorbValidation(t *testing.T) {
 	if err := e.Absorb(make([]Elite, 1)); err == nil {
 		t.Error("mismatched absorb accepted")
 	}
-	if !e.Live() {
-		t.Error("fresh engine not live")
-	}
 }
 
 // TestWireTypesRoundTripExactly pins that Elite and Report survive JSON

@@ -56,7 +56,7 @@ func lastEventID(r *http.Request) (uint64, error) {
 }
 
 // handleJobEvents serves GET /jobs/{id}/events: that job's transitions,
-// ending after the terminal (done/failed/expired) event.
+// ending after the terminal (done/failed) event.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.streamEvents(w, r, r.PathValue("id"), "")
 }

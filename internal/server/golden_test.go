@@ -56,7 +56,6 @@ const metricsGolden = `{
     "done": 25,
     "failed": 2,
     "canceled": 1,
-    "expired": 3,
     "depth": 64,
     "workers": 8
   },
@@ -143,7 +142,7 @@ func TestMetricsSnapshotGoldenShape(t *testing.T) {
 		BulkJobs:             12,
 		Jobs: batch.Stats{
 			Submitted: 30, Rejected: 4, Queued: 2, Running: 1,
-			Done: 25, Failed: 2, Canceled: 1, Expired: 3, Depth: 64, Workers: 8,
+			Done: 25, Failed: 2, Canceled: 1, Depth: 64, Workers: 8,
 		},
 		Events: batch.EventStats{
 			Published: 90, LastSeq: 90, Subscribers: 2, RingLen: 90,

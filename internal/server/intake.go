@@ -209,19 +209,23 @@ func (s *Server) parse(query url.Values, body io.Reader) (*call, *rejection) {
 // when a worker picks the job up, not at submission: a job is not
 // punished for waiting out a long queue, but the deadline does cover its
 // wait for a compute slot, which /layer requests share. tr (nil for bulk
-// lines) spans the job's whole life, queue wait included, and is
-// finished when the job settles. A full queue is refused 429 with a
-// Retry-After derived from the queue stats, a closed one 503.
+// lines) spans the job's whole life, queue wait included: the queue
+// finishes it as the job settles, however the job ends. A full queue is
+// refused 429 with a Retry-After derived from the queue stats, a closed
+// one 503.
 func (s *Server) submitJob(c *call, tr *obs.Trace) (*batch.Job, *rejection) {
+	var settle func()
+	if tr != nil {
+		settle = func() { s.tracer.Finish(tr) }
+	}
 	enqueued := tr.Since()
 	job, err := s.jobs.SubmitTraced(func(ctx context.Context) ([]byte, error) {
-		defer s.tracer.Finish(tr)
 		tr.Observe("queue_wait", "", 0, enqueued, tr.Since()-enqueued)
 		ctx, cancel := context.WithTimeout(obs.NewContext(ctx, tr), c.timeout)
 		defer cancel()
 		body, _, _, err := s.computeCached(ctx, c)
 		return body, err
-	}, tr.ID(), c.req.Labels...)
+	}, tr.ID(), settle, c.req.Labels...)
 	switch {
 	case err == nil:
 		return job, nil

@@ -97,6 +97,14 @@ func TestIntakeParity(t *testing.T) {
 		{"negative workers", "seed=5&workers=-1", demoDOT, http.StatusBadRequest,
 			`bad request: query parameter workers="-1": must be >= 0`},
 		{"island colony", "algo=island&ants=0", demoDOT, http.StatusBadRequest, `bad request: query parameter ants="0": must be >= 1`},
+		// NaN passes every bound and +Inf every lower bound; unrefused,
+		// each of these computed a body from NaN scores.
+		{"NaN alpha", "alpha=NaN", demoDOT, http.StatusBadRequest, `bad request: query parameter alpha="NaN": must be finite`},
+		{"infinite beta", "beta=Inf", demoDOT, http.StatusBadRequest, `bad request: query parameter beta="Inf": must be finite`},
+		{"NaN width bound", "width-bound=NaN", demoDOT, http.StatusBadRequest,
+			`bad request: query parameter width-bound="NaN": must be finite`},
+		{"island NaN alpha", "algo=island&alpha=NaN", demoDOT, http.StatusBadRequest,
+			`bad request: query parameter alpha="NaN": must be finite`},
 		{"negative cg width", "algo=cg&cg-width=-1", demoDOT, http.StatusBadRequest,
 			`bad request: query parameter cg-width="-1": must be >= 1, or 0 for the default 4`},
 		// Two spellings of one knob in one query would parse to either
@@ -368,7 +376,8 @@ func TestTimeoutSaturates(t *testing.T) {
 
 // FuzzParseRequest: whatever the query, ParseRequest either refuses it
 // or returns a request inside the documented bounds, a finite dummy width
-// >= 0 among them, and parsing it again gives the same answer.
+// >= 0 and finite colony knobs among them, and parsing it again gives the
+// same answer.
 func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -388,6 +397,10 @@ func FuzzParseRequest(f *testing.F) {
 		"tuors=100",
 		"ants=0&beta=-2&workers=-1",
 		"algo=cg&cg-width=-1",
+		"alpha=NaN",
+		"beta=Inf",
+		"width-bound=NaN",
+		"algo=island&alpha=NaN",
 	} {
 		f.Add(seed)
 	}
@@ -398,8 +411,8 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		req, err := ParseRequest(q)
 		again, errAgain := ParseRequest(q)
-		// Printed, not compared: a NaN knob the colony accepts would
-		// differ from itself.
+		// Printed, not compared: a NaN knob the algorithm does not read
+		// would differ from itself.
 		first, second := fmt.Sprintf("%+v %v", req, err), fmt.Sprintf("%+v %v", again, errAgain)
 		if first != second {
 			t.Fatalf("%q parsed twice: %s, then %s", raw, first, second)
@@ -430,6 +443,13 @@ func FuzzParseRequest(f *testing.F) {
 		for _, l := range req.Labels {
 			if l == "" || len(l) > 64 {
 				t.Fatalf("label %q accepted", l)
+			}
+		}
+		if req.Algo == "aco" || req.Algo == "island" {
+			for _, x := range []float64{req.ACO.Alpha, req.ACO.Beta, req.ACO.WidthBound, req.ACO.DummyWidth} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("colony knob %g accepted from %q", x, raw)
+				}
 			}
 		}
 	})

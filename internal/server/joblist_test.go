@@ -23,7 +23,6 @@ type jobListView struct {
 	Stats struct {
 		Submitted int64 `json:"submitted"`
 		Done      int64 `json:"done"`
-		Expired   int64 `json:"expired"`
 	} `json:"stats"`
 }
 
@@ -85,32 +84,5 @@ func TestJobsListingEndToEnd(t *testing.T) {
 	}
 	if resp, _ := getJobList(t, ts, "state=bogus"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bogus state filter status %d", resp.StatusCode)
-	}
-}
-
-// TestJobsExpirySweep configures a tiny JobExpiry and watches a finished
-// job disappear from both the listing and GET /jobs/{id}.
-func TestJobsExpirySweep(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobExpiry: 50 * time.Millisecond})
-	_, status := postJob(t, ts, "seed=13&tours=2", demoDOT)
-	pollUntilTerminal(t, ts, status.ID)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, _ := getJob(t, ts, status.ID)
-		if resp.StatusCode == http.StatusNotFound {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("finished job never expired")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	_, list := getJobList(t, ts, "")
-	if len(list.Jobs) != 0 {
-		t.Errorf("expired job still listed: %+v", list.Jobs)
-	}
-	if list.Stats.Expired == 0 {
-		t.Errorf("stats.expired = %d, want > 0", list.Stats.Expired)
 	}
 }

@@ -22,8 +22,7 @@ import (
 // ant walk per worker. A cancelled job reports state "failed" with a
 // 499-style reason, mirroring how /layer labels a vanished client.
 // GET /jobs lists every tracked job (optionally ?state=queued|running|
-// done|failed); tracking is bounded by count (JobRetention) and, when
-// JobExpiry is set, by age — the batch queue's background sweep.
+// done|failed); tracking is bounded by count (JobRetention).
 
 // jobStatus is the JSON envelope for every non-done job state (and for
 // POST/DELETE acknowledgements). Done jobs are served raw — the /layer
@@ -82,7 +81,7 @@ type jobListEntry struct {
 // jobList is the GET /jobs response document.
 type jobList struct {
 	// Jobs holds the tracked jobs in submission order. Jobs evicted by
-	// the retention bounds (count or age) no longer appear.
+	// the retention bound no longer appear.
 	Jobs []jobListEntry `json:"jobs"`
 	// Stats is the same queue summary /metrics serves, so one GET shows
 	// the listing and the gauges together.
@@ -142,15 +141,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Cancelling a queued job settles it synchronously; a running one may
 	// take a moment to unwind. Either way, answer with the state as it is
 	// now.
-	snap := job.Snapshot()
-	if snap.State.Terminal() && snap.Started.IsZero() {
-		// The job never ran, so the closure that finishes its trace never
-		// will.
-		if tr, ok := s.tracer.Get(snap.TraceID); ok {
-			s.tracer.Finish(tr)
-		}
-	}
-	s.writeJobSnapshot(w, snap)
+	s.writeJobSnapshot(w, job.Snapshot())
 }
 
 // job looks up the route's {id}, answering 404 when it is not tracked.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -188,7 +189,9 @@ func TestTracesListEndpoint(t *testing.T) {
 	if got := get("?min_ms=999999"); len(got) != 0 {
 		t.Errorf("min_ms filter returned %d", len(got))
 	}
-	for _, bad := range []string{"?limit=-1", "?limit=x", "?min_ms=-2", "?min_ms=x"} {
+	// A min_ms that is not finite, or past what a Duration holds, would
+	// convert to a bound that lists every trace.
+	for _, bad := range []string{"?limit=-1", "?limit=x", "?min_ms=-2", "?min_ms=x", "?min_ms=NaN", "?min_ms=Inf", "?min_ms=1e300"} {
 		resp, err := http.Get(ts.URL + "/traces" + bad)
 		if err != nil {
 			t.Fatal(err)
@@ -322,12 +325,10 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 	return samples
 }
 
-// TestPrometheusExposition drives a live daemon, scrapes both formats and
-// checks the Prometheus page parses cleanly and mirrors the JSON
-// snapshot's counters.
 // TestCancelledQueuedJobTraceFinished: a job cancelled while queued
-// never runs the closure that finishes its trace, so the cancel must;
-// a live trace would keep growing and rank as the slowest in /traces.
+// never runs its closure, so the queue's settle action must finish its
+// trace; a live trace would keep growing and rank as the slowest in
+// /traces.
 func TestCancelledQueuedJobTraceFinished(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	_, running := postJob(t, ts, slowQuery+"&seed=1", slowGraph)
@@ -341,6 +342,80 @@ func TestCancelledQueuedJobTraceFinished(t *testing.T) {
 	pollUntilTerminal(t, ts, running.ID)
 }
 
+// postJobAs submits a job with the given X-Request-ID and checks the
+// daemon traced it under that ID.
+func postJobAs(t *testing.T, ts *httptest.Server, query, body, requestID string) jobStatusView {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs?"+query, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", requestID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status jobStatusView
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
+	}
+	if got := resp.Header.Get("X-Request-ID"); got != requestID {
+		t.Fatalf("X-Request-ID %q, want %q", got, requestID)
+	}
+	return status
+}
+
+// TestCancelFinishesOnlyItsJobTrace: two queued jobs sent with one
+// X-Request-ID each own a trace, and GET /traces/{id} shows the newer.
+// Cancelling a job finishes its own trace and no other: cancelling the
+// older leaves the newer's trace live while that job waits, and
+// cancelling the newer finishes it.
+func TestCancelFinishesOnlyItsJobTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	_, blocker := postJob(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300)) // holds the worker
+	const id = "shared-request-id"
+	older := postJobAs(t, ts, "seed=2", demoDOT, id)
+	newer := postJobAs(t, ts, "seed=3", demoDOT, id)
+	if r := deleteJob(t, ts, older.ID); r.Header.Get("X-Job-State") != "failed" {
+		t.Fatalf("cancelled queued job answered state %q", r.Header.Get("X-Job-State"))
+	}
+	if r, _ := getJob(t, ts, newer.ID); r.Header.Get("X-Job-State") != "queued" {
+		t.Fatalf("newer job is %q, want queued", r.Header.Get("X-Job-State"))
+	}
+	if v := getTrace(t, ts.URL, id); v.Finished {
+		t.Errorf("cancelling the older job finished the queued newer job's trace (dur_ms %.1f)", v.DurMS)
+	}
+	if r := deleteJob(t, ts, newer.ID); r.Header.Get("X-Job-State") != "failed" {
+		t.Fatalf("cancelled queued job answered state %q", r.Header.Get("X-Job-State"))
+	}
+	if v := getTrace(t, ts.URL, id); !v.Finished {
+		t.Errorf("trace of the cancelled newer job is live (dur_ms %.1f)", v.DurMS)
+	}
+	deleteJob(t, ts, blocker.ID)
+	pollUntilTerminal(t, ts, blocker.ID)
+}
+
+// TestCloseFinishesJobTraces: Close fails a queued job without running
+// it and cancels the running one; both traces end finished.
+func TestCloseFinishesJobTraces(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	running := postJobAs(t, ts, "format=edges&tours=1000000&ants=8", bigEdgeList(300), "running-job")
+	queued := postJobAs(t, ts, "seed=2", demoDOT, "queued-job")
+	s.Close()
+	for _, job := range []struct{ id, trace string }{{running.ID, "running-job"}, {queued.ID, "queued-job"}} {
+		if r, view := getJob(t, ts, job.id); r.Header.Get("X-Job-State") != "failed" {
+			t.Errorf("job %s after Close: state %q (%s)", job.id, r.Header.Get("X-Job-State"), view.raw)
+		}
+		if v := getTrace(t, ts.URL, job.trace); !v.Finished {
+			t.Errorf("trace %s of a job Close failed is live (dur_ms %.1f)", job.trace, v.DurMS)
+		}
+	}
+}
+
+// TestPrometheusExposition drives a live daemon, scrapes both formats and
+// checks the Prometheus page parses cleanly and mirrors the JSON
+// snapshot's counters.
 func TestPrometheusExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postLayer(t, ts, "algo=lpl", demoDOT)

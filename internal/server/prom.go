@@ -96,8 +96,6 @@ func writeProm(w io.Writer, m MetricsSnapshot) error {
 	p.Value("daglayer_jobs_failed_total", float64(m.Jobs.Failed))
 	p.Family("daglayer_jobs_canceled_total", "counter", "Jobs canceled by clients.")
 	p.Value("daglayer_jobs_canceled_total", float64(m.Jobs.Canceled))
-	p.Family("daglayer_jobs_expired_total", "counter", "Terminal jobs evicted by the age sweep.")
-	p.Value("daglayer_jobs_expired_total", float64(m.Jobs.Expired))
 	p.Family("daglayer_job_queue_depth", "gauge", "Backlog bound the job queue enforces.")
 	p.Value("daglayer_job_queue_depth", float64(m.Jobs.Depth))
 	p.Family("daglayer_job_workers", "gauge", "Workers draining the job queue.")

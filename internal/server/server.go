@@ -89,10 +89,6 @@ type Config struct {
 	// JobRetention bounds how many finished jobs stay pollable; the
 	// oldest is evicted first. 0 means 256.
 	JobRetention int
-	// JobExpiry, when positive, additionally evicts finished jobs older
-	// than this (a retention sweep runs in the background). 0 keeps jobs
-	// until the count bound evicts them.
-	JobExpiry time.Duration
 	// EventRing bounds how many job state transitions the event layer
 	// retains. SSE streams read only from this ring, so it bounds both how
 	// far back a reconnect (Last-Event-ID) can resume and how far a live
@@ -221,11 +217,10 @@ func New(cfg Config) *Server {
 		metrics: newServerMetrics(),
 		tracer:  obs.NewTracer(cfg.TraceRing, cfg.TraceSlowest),
 		jobs: batch.New(batch.Config{
-			Workers:     cfg.MaxConcurrent,
-			Depth:       cfg.JobQueueDepth,
-			Retain:      cfg.JobRetention,
-			ExpireAfter: cfg.JobExpiry,
-			EventRing:   cfg.EventRing,
+			Workers:   cfg.MaxConcurrent,
+			Depth:     cfg.JobQueueDepth,
+			Retain:    cfg.JobRetention,
+			EventRing: cfg.EventRing,
 		}),
 		slots:      make(chan struct{}, cfg.MaxConcurrent),
 		shutdownCh: make(chan struct{}),

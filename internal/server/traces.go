@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -27,8 +28,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var min time.Duration
 	if v := r.URL.Query().Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			s.httpError(w, http.StatusBadRequest, "bad min_ms %q (want a non-negative number)", v)
+		// NaN fails every comparison; past 2^63 ns the conversion to a
+		// Duration would overflow.
+		if err != nil || !(ms >= 0 && ms*float64(time.Millisecond) < math.MaxInt64) {
+			s.httpError(w, http.StatusBadRequest, "bad min_ms %q (want a non-negative number a duration can hold)", v)
 			return
 		}
 		min = time.Duration(ms * float64(time.Millisecond))

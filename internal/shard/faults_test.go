@@ -365,7 +365,8 @@ func TestWorkerTakesCoordinatorCadence(t *testing.T) {
 // (its epoch frames held past the liveness timeout) must NOT be
 // expelled — the background heartbeat, at the 40ms cadence the welcome
 // names, keeps satisfying the reader's deadline, distinguishing slow
-// from dead.
+// from dead. The worker's epoch metrics show the premise: an epoch took
+// well past the timeout, and beats arrived meanwhile.
 func TestHeartbeatsFlowDuringLongEpochs(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{HeartbeatTimeout: 200 * time.Millisecond})
 	defer cancel()
@@ -388,7 +389,14 @@ func TestHeartbeatsFlowDuringLongEpochs(t *testing.T) {
 	if fingerprint(res) != fingerprint(want) {
 		t.Error("result diverged")
 	}
-	if m := c.Metrics(); m.HeartbeatExpels != 0 {
+	m := c.Metrics()
+	if m.HeartbeatExpels != 0 {
 		t.Errorf("heartbeat_expels = %d, want 0 (slow is not dead)", m.HeartbeatExpels)
+	}
+	if len(m.PerWorker) != 1 {
+		t.Fatalf("%d workers in the metrics, want 1", len(m.PerWorker))
+	}
+	if w := m.PerWorker[0]; w.MaxEpochMs < 400 || w.Heartbeats == 0 {
+		t.Errorf("max_epoch_ms = %.1f, heartbeats = %d: want an epoch >= 400ms, past the 200ms timeout, with beats", w.MaxEpochMs, w.Heartbeats)
 	}
 }

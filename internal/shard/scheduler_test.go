@@ -117,7 +117,8 @@ func TestConcurrentRunsByteIdentical(t *testing.T) {
 // TestConcurrentRunsOverlap pins that the scheduler actually runs two
 // runs at once (not merely interleaves them): with every epoch frame held
 // on the wire, two K=2 runs on a 4-worker fleet must both hold leases
-// simultaneously — the concurrent-run high-water mark reaches 2.
+// simultaneously — the concurrent-run high-water mark reaches 2. Every
+// worker's slowest epoch shows the hold took effect.
 func TestConcurrentRunsOverlap(t *testing.T) {
 	c, addr, ctx, cancel := startCoordinator(t, CoordinatorConfig{})
 	defer cancel()
@@ -149,6 +150,14 @@ func TestConcurrentRunsOverlap(t *testing.T) {
 	}
 	if m.DispatchMs.Count < 2 {
 		t.Errorf("dispatch_ms.count=%d, want >= 2", m.DispatchMs.Count)
+	}
+	if len(m.PerWorker) != 4 {
+		t.Fatalf("%d workers in the metrics, want 4", len(m.PerWorker))
+	}
+	for _, w := range m.PerWorker {
+		if w.MaxEpochMs < 20 {
+			t.Errorf("worker %s: max_epoch_ms = %.1f, want >= the link's 20ms hold", w.Name, w.MaxEpochMs)
+		}
 	}
 }
 
